@@ -22,9 +22,10 @@ cheap.
   :class:`ServiceError`, :data:`SCHEMA_VERSION`.
 
 Deprecation policy: a moved or renamed public name keeps working for
-one release behind a shim that emits a single :class:`DeprecationWarning`
-(e.g. ``repro.service.server.ServiceError``, which moved to
-``repro.service.api`` in the versioned-API redesign).
+one release behind a shim that emits a single :class:`DeprecationWarning`;
+then the shim is deleted.  ``repro.service.server.ServiceError`` went
+that way: it moved to ``repro.service.api`` in the versioned-API
+redesign, and the old path is gone (import it from ``repro.service``).
 """
 
 import importlib

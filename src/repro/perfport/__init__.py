@@ -32,7 +32,6 @@ from repro.perfport.portability import (
 )
 from repro.perfport.scheduler import (
     PerfBuildReport,
-    PerfJobKind,
     PerfScheduler,
     run_perf_matrix,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "CascadeEntry",
     "PerfBuildReport",
     "PerfCell",
-    "PerfJobKind",
     "PerfMatrix",
     "PerfParams",
     "PerfScheduler",

@@ -1,280 +1,98 @@
-"""Concurrent perf-matrix build on the generic job engine.
+"""Concurrent perf-matrix build on the matrix scheduler's cell-task engine.
 
-The perf DAG is two layers per cell::
-
-    per route:  stream (five timed kernels through the route's chain)
-    per cell:   stream[routes...] ──> cell (assemble + persist)
-
-Stream jobs are pairwise independent — each constructs a **fresh
-device** (the simulated clock is device state) and its own runtime
-chain — so any interleaving is equivalent to the sequential
-:func:`repro.perfport.matrix.build_perf_matrix` loop and the result is
-bit-identical at every ``--jobs`` count.
-
-The engine (:class:`repro.service.scheduler.JobEngine`) contributes the
-thread pool, dependency bookkeeping, timeout/retry/backoff, cooperative
-cancellation, and the fault-injection seam; this module contributes only
-the DAG shape and the job bodies.  Perf jobs use their own
-:class:`PerfJobKind` so the matrix build's per-kind metric names stay
-untouched.
-
-Like the matrix scheduler, the perf build inherits the engine's
-``execution="thread" | "process"`` knob: in process mode each cell's
-viable routes are streamed inside one worker process (fresh device per
-route, exactly like the sequential loop), the finished
-:class:`PerfCell` is published into the content-addressed perf store
-when one is configured, and the serialized payload travels back for
-canonical-order assembly — bit-identical at every worker count on both
-backends.
+One task per cell (:func:`_eval_perf_cell_task`) streams the cell's
+viable routes in registry order, each on a **fresh device** (the
+simulated clock is device state) through its own runtime chain — the
+body of the sequential :func:`repro.perfport.matrix.build_perf_matrix`
+loop — so the result is bit-identical at every ``--jobs`` count on both
+executors.  Executors, retries, timeouts, persistence and assembly are
+:class:`repro.service.scheduler.JobEngine`'s.  Perf metrics carry a
+``perf_`` prefix (``perf_cell`` jobs, ``perf_store_*``, ``perf_workers``)
+so the matrix build's names stay untouched.
 """
 
 from __future__ import annotations
 
-import enum
-import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, ClassVar
 
 from repro.core.classifier import DEFAULT_THRESHOLDS, Thresholds
 from repro.core.matrix import CompatibilityMatrix
-from repro.core.routes import Route
-from repro.enums import all_cells
+from repro.core.routes import routes_for
 from repro.perfport.matrix import (
     Cell,
-    PerfCell,
     PerfMatrix,
     PerfParams,
     assemble_perf_cell,
     viable_routes,
 )
-from repro.perfport.store import PerfStore
+from repro.perfport.store import (
+    PerfStore,
+    perf_cell_from_dict,
+    perf_cell_to_dict,
+)
 from repro.perfport.stream import run_stream_via_route
 from repro.service.metrics import MetricsRegistry
-from repro.service.scheduler import EXECUTION_PROCESS, EXECUTION_THREAD, Job, JobEngine
+from repro.service.scheduler import (
+    EXECUTION_THREAD,
+    BuildReport,
+    JobEngine,
+    JobInfo,
+)
 from repro.service.store import ResultStore
 
 
-class PerfJobKind(enum.Enum):
-    """Job kinds of the perf build DAG (distinct from the matrix
-    build's :class:`repro.service.scheduler.JobKind`)."""
-
-    STREAM = "stream"
-    PERF_CELL = "perf_cell"
-
-
 @dataclass
-class PerfBuildReport:
-    """Outcome of one scheduled perf build."""
+class PerfBuildReport(BuildReport):
+    """Outcome of one scheduled perf build: ``matrix`` is a
+    :class:`PerfMatrix` and ``store`` a :class:`PerfStore`."""
 
-    matrix: PerfMatrix
-    metrics: MetricsRegistry
-    jobs: int
-    elapsed_s: float
-    cells_from_store: int
-    cells_evaluated: int
-    store: PerfStore | None = None
-    compat_report: object | None = None  # BuildReport of the compat phase
+    noun: ClassVar[str] = "perf cells"
 
-    def summary_line(self) -> str:
-        reuse = (f"{self.cells_from_store} from store, "
-                 if self.store is not None else "")
-        return (f"{self.matrix.n_cells} perf cells ({reuse}"
-                f"{self.cells_evaluated} evaluated) with {self.jobs} "
-                f"worker(s) in {self.elapsed_s:.2f}s")
+    compat_report: BuildReport | None = None  # of the compat phase
 
 
 def _eval_perf_cell_task(
-    cell_values: tuple[str, str, str],
+    cell: Cell,
     route_ids: tuple[str, ...],
     params: PerfParams,
-    thresholds,
-    store_root: str | None,
-) -> tuple[dict, dict]:
-    """Worker body: stream one cell's viable routes, publish, serialize.
+) -> tuple[dict, int]:
+    """Stream one cell's viable routes; returns it serialized and the
+    number of stream runs.
 
     ``route_ids`` arrive in registry order (the coordinator derived them
-    from the compat matrix, which does not travel to the worker); the
-    worker resolves them against the live registry and preserves that
-    order, so the payload reconstructs bit-identically via
-    ``perf_cell_from_dict``.
+    from the compat matrix, which does not travel to a worker process);
+    they resolve against the live registry in that order, so the payload
+    decodes bit-identically via ``perf_cell_from_dict``.
     """
-    from repro.core.routes import routes_for
-    from repro.enums import Language, Model, Vendor
-    from repro.perfport.store import PerfStore, perf_cell_to_dict
-
-    vendor = Vendor(cell_values[0])
-    model = Model(cell_values[1])
-    language = Language(cell_values[2])
-    by_id = {r.route_id: r for r in routes_for(vendor, model, language)}
+    by_id = {r.route_id: r for r in routes_for(*cell)}
     perfs = [run_stream_via_route(by_id[rid], params) for rid in route_ids]
-    result = assemble_perf_cell((vendor, model, language), perfs)
-    publishes = 0
-    if store_root is not None:
-        store = _worker_perf_store(store_root, params, thresholds)
-        store.save(result)
-        publishes = 1
-    return perf_cell_to_dict(result), {
-        "stream_runs": len(route_ids),
-        "store_publishes": publishes,
-    }
+    return perf_cell_to_dict(assemble_perf_cell(cell, perfs)), len(perfs)
 
 
-#: Per-worker-process perf-store handles, keyed by (root, params).
-_WORKER_PERF_STORES: dict = {}
-
-
-def _worker_perf_store(root: str, params: PerfParams,
-                       thresholds) -> PerfStore:
-    key = (root, repr(params), thresholds)
-    store = _WORKER_PERF_STORES.get(key)
-    if store is None:
-        store = _WORKER_PERF_STORES[key] = PerfStore(
-            root, params=params, thresholds=thresholds)
-    return store
-
-
+@dataclass(eq=False, kw_only=True)
 class PerfScheduler(JobEngine):
-    """Builds the perf matrix as a job DAG on a thread pool."""
+    """Builds the perf matrix, one task per cell."""
 
-    worker_name = "perf-worker"
+    prefix = "perf_"
+    work_counter = "stream_runs"
+    report = PerfBuildReport
+    _task = staticmethod(_eval_perf_cell_task)
 
-    def __init__(
-        self,
-        jobs: int | None = 1,
-        *,
-        compat: CompatibilityMatrix,
-        execution: str = EXECUTION_THREAD,
-        params: PerfParams = PerfParams(),
-        store: PerfStore | None = None,
-        thresholds=None,
-        metrics: MetricsRegistry | None = None,
-        timeout_s: float = 120.0,
-        max_retries: int = 2,
-        backoff_s: float = 0.05,
-        fault_hook: Callable[[Job, int], None] | None = None,
-    ):
-        super().__init__(
-            jobs,
-            execution=execution,
-            metrics=metrics,
-            timeout_s=timeout_s,
-            max_retries=max_retries,
-            backoff_s=backoff_s,
-            fault_hook=fault_hook,
-        )
-        self.compat = compat
-        self.params = params
-        self.store = store
-        self.thresholds = (thresholds if thresholds is not None
-                           else (store.thresholds if store is not None
-                                 else DEFAULT_THRESHOLDS))
+    compat: CompatibilityMatrix
+    params: PerfParams = PerfParams()
+    store: PerfStore | None = None
+    timeout_s: float = 120.0
 
-    # -- DAG construction --------------------------------------------------
+    def _task_args(self, cell: Cell) -> tuple:
+        route_ids = tuple(r.route_id for r in viable_routes(self.compat, cell))
+        return cell, route_ids, self.params
 
-    def _build_cell_jobs(self, cell: Cell) -> int:
-        stream_ids = []
-        for route in viable_routes(self.compat, cell):
-            job = Job(
-                self._next_id(), PerfJobKind.STREAM, cell, route=route,
-                fn=lambda ws, r=route: self._run_stream(r))
-            stream_ids.append(self._add(job))
-        job = Job(
-            self._next_id(), PerfJobKind.PERF_CELL, cell,
-            deps=tuple(stream_ids),
-            fn=lambda ws, c=cell, ids=tuple(stream_ids):
-                self._run_cell(c, ids))
-        return self._add(job)
+    def _decode(self, payload: dict):
+        return perf_cell_from_dict(payload)
 
-    # -- job bodies --------------------------------------------------------
-
-    def _run_stream(self, route: Route):
-        self.metrics.counter("stream_runs").inc()
-        return run_stream_via_route(route, self.params)
-
-    def _run_cell(self, cell: Cell, stream_ids: tuple[int, ...]) -> PerfCell:
-        perfs = [self._results[i] for i in stream_ids]
-        result = assemble_perf_cell(cell, perfs)
-        if self.store is not None:
-            self.store.save(result)
-            self.metrics.counter("perf_store_writes").inc()
-        return result
-
-    # -- the process backend: one task per cell ----------------------------
-
-    def _build_cells_in_processes(self, missing: list[Cell]
-                                  ) -> dict[Cell, PerfCell]:
-        """Stream ``missing`` cells' routes on the worker-process fleet."""
-        from repro.perfport.store import perf_cell_from_dict
-
-        store_root = (str(self.store.root.parent)
-                      if self.store is not None else None)
-        jobs_ = [Job(self._next_id(), PerfJobKind.PERF_CELL, cell)
-                 for cell in missing]
-        args_list = [
-            (tuple(p.value for p in cell),
-             tuple(r.route_id for r in viable_routes(self.compat, cell)),
-             self.params, self.thresholds, store_root)
-            for cell in missing
-        ]
-        payloads = self.run_tasks_in_processes(
-            jobs_, _eval_perf_cell_task, args_list)
-        evaluated: dict[Cell, PerfCell] = {}
-        for cell, (payload, stats) in zip(missing, payloads):
-            self.metrics.counter("stream_runs").inc(stats["stream_runs"])
-            if stats["store_publishes"]:
-                self.metrics.counter("perf_store_writes").inc(
-                    stats["store_publishes"])
-                self.store.stats._inc("writes")
-            evaluated[cell] = perf_cell_from_dict(payload)
-        return evaluated
-
-    # -- public API --------------------------------------------------------
-
-    def build(self) -> PerfBuildReport:
-        """Evaluate (or load) every cell and assemble the perf matrix."""
-        start = time.monotonic()
-        self.metrics.gauge("perf_workers").set(self.jobs)
-        cell_jobs: dict[Cell, int] = {}
-        missing: list[Cell] = []
-        stored: dict[Cell, PerfCell] = {}
-        use_processes = self.execution == EXECUTION_PROCESS
-        for cell in all_cells():
-            if self.store is not None:
-                cached = self.store.load(cell)
-                if cached is not None:
-                    stored[cell] = cached
-                    self.metrics.counter("perf_store_hits").inc()
-                    continue
-                self.metrics.counter("perf_store_misses").inc()
-            if use_processes:
-                missing.append(cell)
-            else:
-                cell_jobs[cell] = self._build_cell_jobs(cell)
-
-        if use_processes:
-            evaluated = self._build_cells_in_processes(missing)
-        else:
-            self.run_all()
-            evaluated = {cell: self._results[job_id]
-                         for cell, job_id in cell_jobs.items()}
-
-        cells = {}
-        for cell in all_cells():
-            if cell in stored:
-                cells[cell] = stored[cell]
-            else:
-                cells[cell] = evaluated[cell]
-        matrix = PerfMatrix(params=self.params, cells=cells)
-        self.metrics.counter("perf_builds").inc()
-        return PerfBuildReport(
-            matrix=matrix,
-            metrics=self.metrics,
-            jobs=self.jobs,
-            elapsed_s=time.monotonic() - start,
-            cells_from_store=len(stored),
-            cells_evaluated=len(evaluated),
-            store=self.store,
-        )
+    def _matrix(self, cells: dict) -> PerfMatrix:
+        return PerfMatrix(params=self.params, cells=cells)
 
 
 def run_perf_matrix(
@@ -289,7 +107,7 @@ def run_perf_matrix(
     timeout_s: float = 120.0,
     max_retries: int = 2,
     backoff_s: float = 0.05,
-    fault_hook: Callable[[Job, int], None] | None = None,
+    fault_hook: Callable[[JobInfo, int], None] | None = None,
 ) -> PerfBuildReport:
     """One-call perf-portability evaluation.
 
@@ -320,7 +138,6 @@ def run_perf_matrix(
         execution=execution,
         params=params,
         store=perf_store,
-        thresholds=thresholds,
         metrics=metrics,
         timeout_s=timeout_s,
         max_retries=max_retries,

@@ -1,12 +1,12 @@
 """Matrix evaluation service.
 
-Turns the one-shot 51-cell matrix build into a system: a dependency-
-aware concurrent scheduler on a generic job engine (:mod:`.scheduler`),
-a persistent content-addressed result store (:mod:`.store`), a
-queryable serving layer with in-process and loopback-HTTP clients
-behind one versioned wire contract (:mod:`.server`, :mod:`.api`), and a
-metrics registry tying the pipeline's counters together
-(:mod:`.metrics`).
+Turns the one-shot 51-cell matrix build into a system: a concurrent
+scheduler running one task per cell on a thread or process pool
+(:mod:`.scheduler`), a persistent content-addressed result store
+(:mod:`.store`), a queryable serving layer with in-process and
+loopback-HTTP clients behind one versioned wire contract
+(:mod:`.server`, :mod:`.api`), and a metrics registry tying the
+pipeline's counters together (:mod:`.metrics`).
 
 The one invariant everything here is built around: **the scheduled
 build is bit-identical to the sequential build at every worker
@@ -48,10 +48,8 @@ from repro.service.scheduler import (
     EXECUTION_THREAD,
     BuildCancelled,
     BuildReport,
-    Job,
     JobEngine,
     JobInfo,
-    JobKind,
     JobTimeout,
     MatrixScheduler,
     SchedulerError,
@@ -96,10 +94,8 @@ __all__ = [
     "Histogram",
     "HttpClient",
     "InProcessClient",
-    "Job",
     "JobEngine",
     "JobInfo",
-    "JobKind",
     "JobTimeout",
     "KernelRejectedError",
     "KernelSubmitResponse",

@@ -65,7 +65,7 @@ class ExecutionInfo:
     store_hits: int       # compat + perf store hits, this process
     probes_run: int       # probe executions, this process
     worker_crashes: int   # dead worker processes (real or injected)
-    worker_restarts: int  # process-pool rebuilds after a crash
+    worker_restarts: int  # process-pool rebuilds (crash or timeout)
 
     def as_dict(self) -> dict:
         return {

@@ -1,97 +1,49 @@
-"""Dependency-aware concurrent scheduler for the matrix build.
+"""Concurrent scheduler for the matrix build: one cell task, two executors.
 
-The sequential :func:`repro.core.matrix.build_matrix` is one long loop:
-51 cells x their routes x their probes, in registry order.  This module
-decomposes that loop into an explicit job DAG and runs it on a thread
-pool::
+The sequential :func:`repro.core.matrix.build_matrix` loops over 51
+cells x their routes x their probes.  Here the body of that loop — one
+whole cell, routes in registry order, probes in suite order — is an
+independent task (:func:`_eval_matrix_cell_task`) on the executor that
+``execution`` selects: ``"thread"`` (the default and the fault-injection
+test bed; GIL-bound, so ``jobs=N`` overlaps latency but does not scale
+CPU work) or ``"process"`` (a fork-context ``ProcessPoolExecutor`` that
+uses N cores; workers inherit the coordinator's warm compile caches).
 
-    per route:  translate ──> compile ──> probe[0..P-1] ──> classify
-    per cell:   classify[routes...] ──> cell (assemble + persist)
+A task returns the serialized cell; the coordinator decodes it, saves
+it to the store and assembles the matrix in ``all_cells()`` order.
+Probes are pairwise independent (each builds a fresh runtime) and
+devices are per thread (:func:`_device`), so the matrix is
+**bit-identical to the sequential build at every worker count on both
+executors**.
 
-* **translate** — constructs the route's runtime chain once (wiring the
-  toolchain and any source-to-source translator) and records whether the
-  chain is constructible and which translator it uses.  Purely a gate +
-  metadata producer: its outcome never feeds the cell result, because
-  probe jobs construct their own fresh runtimes (exactly like the
-  sequential build) and must record the identical per-probe errors.
-* **compile** — the compile-readiness gate: checks the chain's bound
-  toolchain accepts the route's (model, language) and can emit the
-  device ISA.  Again advisory; the authoritative compile happens inside
-  each probe, deduplicated across workers by the content-keyed,
-  single-flight compile cache.
-* **probe** — one probe of the route's suite via
-  :func:`repro.core.matrix.run-single-probe` semantics (same primitive
-  the sequential build uses).  Probes are pairwise independent — each
-  constructs a fresh runtime — which is what makes any interleaving of
-  them equivalent to the sequential order.
-* **classify** — reassembles the outcomes *in suite order* and runs the
-  §3 classifier.
-* **cell** — assembles the :class:`CellResult` with routes *in registry
-  order* and persists it to the result store.
-
-Because every probe job is independent and all ordering-sensitive steps
-(classify, cell, final matrix dict) reassemble in the fixed registry
-order, the produced matrix is **bit-identical to the sequential build at
-every worker count** — the invariant the test suite checks at ``--jobs
-{1, 4, 16}``.
-
-Worker isolation: devices are *thread-local* (one lazily-built device
-per vendor per worker).  Worker threads therefore never share mutable
-simulator state; cross-thread state is limited to the compile cache
-(single-flight, lock-protected) and the process-wide counters (lock-
-protected as of this change).
-
-Jobs run with a per-job timeout, bounded retry with exponential
-backoff, and cooperative cancellation.  Timeouts are enforced
-post-hoc — a pure-Python job cannot be preempted mid-flight — so a job
-that exceeds its budget is treated as failed and retried; the
-``fault_hook`` lets tests inject timeouts deterministically.
-
-Execution backends
-------------------
-
-The engine runs its jobs on one of two backends, selected by
-``execution="thread" | "process"``:
-
-* **thread** (the default, and the fault-injection test bed) — the job
-  DAG above on a pool of worker threads.  Pure-Python probe work is
-  GIL-bound, so ``jobs=N`` buys latency overlap but no CPU scaling.
-* **process** — jobs run in worker *processes* on a
-  ``ProcessPoolExecutor``, which actually uses N cores.  Because job
-  closures do not pickle, the process backend shards at the natural
-  picklable granularity: **one task per cell** (a cell's probes and
-  routes are evaluated inside one worker, exactly like the sequential
-  per-cell loop).  Workers publish finished cells into the
-  content-addressed store when one is configured — the store is the
-  mailbox; its writes are atomic and cross-process safe — and *also*
-  return the serialized cell payload, so storeless builds work the same
-  way.  The coordinator reassembles in canonical ``all_cells()`` /
-  registry order, so the **bit-identical at every worker count**
-  invariant holds verbatim on both backends.
-
-Process-mode fault tolerance: a worker process that dies mid-job
-(detected as a broken pool) is counted as a ``worker_crashes``, the
-pool is rebuilt (``worker_restarts``), and every job that was in flight
-is retried under the same bounded-retry budget — a crash is a
-structured retry, never a hang.  The ``fault_hook`` seam carries over:
-a picklable hook is shipped to the workers and called with a
-(:class:`JobInfo`, attempt) pair *inside* the worker (so it can
-simulate real crashes with ``os._exit``); an unpicklable hook runs
-coordinator-side with the real :class:`Job`, and raising
-:class:`WorkerCrash` from it simulates a death without killing a pool.
+:class:`JobEngine` owns the one loop both executors run: at most
+``jobs`` tasks in flight, bounded retry with exponential backoff, the
+fault hook, cooperative cancellation, broken-pool recovery and the job
+counters.  On the process executor a task past ``timeout_s`` is
+bounded: the loop waits only until the earliest in-flight deadline,
+counts one ``jobs_timeout``, kills and rebuilds the pool and retries
+every task that was in flight, as it does when a worker dies
+(``worker_crashes``, ``worker_restarts``).  A thread cannot be
+pre-empted, so the thread executor checks the budget when a task
+returns.  ``fault_hook(info, attempt)`` gets a :class:`JobInfo`.  The
+thread executor calls it in the worker thread; the process executor
+calls it in the worker process if it pickles (so it can ``os._exit``)
+and on the coordinator otherwise, where raising :class:`WorkerCrash`
+simulates a death without killing a pool.
 """
 
 from __future__ import annotations
 
-import enum
-import itertools
+import concurrent.futures
+import multiprocessing
 import os
 import pickle
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import KW_ONLY, dataclass
+from typing import Callable, ClassVar
 
 from repro.core.classifier import DEFAULT_THRESHOLDS, Thresholds
 from repro.core.matrix import (
@@ -101,12 +53,12 @@ from repro.core.matrix import (
     probes_for_route,
 )
 from repro.core.probes import Probe, run_single_probe
-from repro.core.routes import Route, routes_for
+from repro.core.routes import routes_for
 from repro.enums import Language, Model, Vendor, all_cells
-from repro.errors import ReproError
 from repro.gpu.device import Device
+from repro.gpu.specs import default_spec
 from repro.service.metrics import MetricsRegistry
-from repro.service.store import ResultStore
+from repro.service.store import ResultStore, cell_from_dict, cell_to_dict
 
 Cell = tuple[Vendor, Model, Language]
 
@@ -114,6 +66,9 @@ Cell = tuple[Vendor, Model, Language]
 EXECUTION_THREAD = "thread"
 EXECUTION_PROCESS = "process"
 EXECUTION_MODES = (EXECUTION_THREAD, EXECUTION_PROCESS)
+
+#: What pickling an unpicklable object raises.
+_PICKLE_ERRORS = (pickle.PicklingError, AttributeError, TypeError)
 
 
 def resolve_jobs(jobs: int | None) -> int:
@@ -129,21 +84,6 @@ def resolve_execution(execution: str) -> str:
         raise ValueError(
             f"execution must be one of {EXECUTION_MODES}, got {execution!r}")
     return execution
-
-
-class JobKind(enum.Enum):
-    """Job kinds of the *matrix* build DAG.
-
-    The perf-portability build defines its own kind enum
-    (:class:`repro.perfport.scheduler.PerfJobKind`); the engine only
-    requires ``kind.value`` to be a stable string.
-    """
-
-    TRANSLATE = "translate"
-    COMPILE = "compile"
-    PROBE = "probe"
-    CLASSIFY = "classify"
-    CELL = "cell"
 
 
 class JobTimeout(Exception):
@@ -169,12 +109,11 @@ class WorkerCrash(Exception):
 
 @dataclass(frozen=True)
 class JobInfo:
-    """Picklable surrogate of a :class:`Job`, shipped to worker processes.
+    """One cell task as fault hooks see it; picklable, so it ships to
+    worker processes.
 
-    Process-mode fault hooks receive this instead of the full ``Job``
-    (whose ``fn`` closure does not pickle).  ``label`` matches
-    :attr:`Job.label` so one hook can target the same jobs on either
-    backend.
+    ``label`` is ``kind:vendor:model:language``, e.g.
+    ``cell:NVIDIA:CUDA:C++`` or ``perf_cell:AMD:HIP:C++``.
     """
 
     label: str
@@ -182,54 +121,28 @@ class JobInfo:
     cell: tuple[str, str, str]
 
 
-@dataclass
-class Job:
-    """One schedulable unit of a job-DAG build."""
+class _Devices(threading.local):
+    """The current thread's devices, one per vendor, built on first use."""
 
-    job_id: int
-    kind: enum.Enum
-    cell: Cell
-    route: Route | None = None
-    probe: Probe | None = None
-    deps: tuple[int, ...] = ()
-    fn: Callable[["_WorkerState"], object] | None = field(
-        default=None, repr=False)
-    attempts: int = 0
-
-    @property
-    def label(self) -> str:
-        vendor, model, language = self.cell
-        parts = [self.kind.value, vendor.value, model.value, language.value]
-        if self.route is not None:
-            parts.append(self.route.route_id)
-        if self.probe is not None:
-            parts.append(self.probe.method)
-        return ":".join(parts)
+    def __init__(self):
+        self.by_vendor: dict[Vendor, Device] = {}
 
 
-class _WorkerState(threading.local):
-    """Thread-local devices: one per vendor, built on first use."""
-
-    def __init__(self, factory: Callable[[Vendor], Device]):
-        self._factory = factory
-        self._devices: dict[Vendor, Device] = {}
-
-    def device(self, vendor: Vendor) -> Device:
-        dev = self._devices.get(vendor)
-        if dev is None:
-            dev = self._devices[vendor] = self._factory(vendor)
-        return dev
+_DEVICES = _Devices()
 
 
-def _default_device_factory(vendor: Vendor) -> Device:
-    from repro.gpu.specs import default_spec
-
-    return Device(default_spec(vendor))
+def _device(vendor: Vendor) -> Device:
+    dev = _DEVICES.by_vendor.get(vendor)
+    if dev is None:
+        dev = _DEVICES.by_vendor[vendor] = Device(default_spec(vendor))
+    return dev
 
 
 @dataclass
 class BuildReport:
     """Outcome of one scheduled build."""
+
+    noun: ClassVar[str] = "cells"
 
     matrix: CompatibilityMatrix
     metrics: MetricsRegistry
@@ -242,628 +155,307 @@ class BuildReport:
     def summary_line(self) -> str:
         reuse = (f"{self.cells_from_store} from store, "
                  if self.store is not None else "")
-        return (f"{self.matrix.n_cells} cells ({reuse}"
+        return (f"{self.matrix.n_cells} {self.noun} ({reuse}"
                 f"{self.cells_evaluated} evaluated) with {self.jobs} "
                 f"worker(s) in {self.elapsed_s:.2f}s")
 
 
-class JobEngine:
-    """Generic dependency-aware job DAG executor on a thread pool.
+def _entry(info: JobInfo, task: Callable, args: tuple, attempt: int,
+           fault_hook) -> tuple[object, float]:
+    """One attempt at one task, on a worker; returns (payload, seconds)."""
+    start = time.monotonic()
+    if fault_hook is not None:
+        fault_hook(info, attempt)
+    payload = task(*args)
+    return payload, time.monotonic() - start
 
-    Owns everything that is not matrix-specific: the ready queue, the
-    dependency bookkeeping, per-job timeout/retry/backoff, cooperative
-    cancellation, the fault-injection seam, thread-local per-vendor
-    devices, and the completion/latency/queue-depth metrics.  Subclasses
-    (:class:`MatrixScheduler` here, ``PerfScheduler`` in
-    ``repro.perfport``) contribute only DAG construction and job bodies.
+
+def _discard(pool: concurrent.futures.Executor) -> None:
+    """Shut a pool down without waiting, killing any worker processes."""
+    # Private: ProcessPoolExecutor gains kill_workers() only in 3.14.
+    for proc in list((getattr(pool, "_processes", None) or {}).values()):
+        proc.kill()
+    pool.shutdown(wait=False, cancel_futures=True)
+
+
+@dataclass(eq=False)
+class JobEngine:
+    """The cell-task build shared by the matrix and perf schedulers.
+
+    A subclass sets ``prefix`` (prepended to the job kind ``cell`` and
+    to the store, worker and build metric names), ``work_counter`` (what
+    a task's work count adds to), ``report`` (the report class) and
+    ``_task``, a module-level function returning ``(serialized cell,
+    work count)``; it has a ``store`` field and implements
+    ``_task_args(cell)``, ``_decode(payload)`` and ``_matrix(cells)``.
     """
 
-    worker_name = "engine-worker"
+    prefix = ""
+    work_counter = "probes_executed"
+    report = BuildReport
 
-    def __init__(
-        self,
-        jobs: int | None = 1,
-        *,
-        execution: str = EXECUTION_THREAD,
-        metrics: MetricsRegistry | None = None,
-        device_factory: Callable[[Vendor], Device] | None = None,
-        timeout_s: float = 60.0,
-        max_retries: int = 2,
-        backoff_s: float = 0.05,
-        fault_hook: Callable[[Job, int], None] | None = None,
-    ):
-        jobs = resolve_jobs(jobs)
-        if jobs < 1:
+    jobs: int | None = 1
+    _: KW_ONLY
+    execution: str = EXECUTION_THREAD
+    metrics: MetricsRegistry | None = None
+    timeout_s: float = 60.0
+    max_retries: int = 2
+    backoff_s: float = 0.05
+    fault_hook: Callable[[JobInfo, int], None] | None = None
+
+    def __post_init__(self):
+        self.jobs = resolve_jobs(self.jobs)
+        if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
-        self.jobs = jobs
-        self.execution = resolve_execution(execution)
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.timeout_s = timeout_s
-        self.max_retries = max_retries
-        self.backoff_s = backoff_s
-        self.fault_hook = fault_hook
-        self._device_factory = device_factory or _default_device_factory
-        self._worker_state = _WorkerState(self._device_factory)
-
-        self._ids = itertools.count()
-        self._jobs: dict[int, Job] = {}
-        self._results: dict[int, object] = {}
-        self._waiting: dict[int, int] = {}  # job id -> unresolved dep count
-        self._dependents: dict[int, list[int]] = {}
-        self._ready: deque[int] = deque()
-        self._cond = threading.Condition()
+        self.execution = resolve_execution(self.execution)
+        if self.metrics is None:
+            self.metrics = MetricsRegistry()
         self._cancelled = threading.Event()
-        self._error: BaseException | None = None
-        self._outstanding = 0
-
-    # -- DAG construction --------------------------------------------------
-
-    def _add(self, job: Job) -> int:
-        self._jobs[job.job_id] = job
-        unresolved = sum(1 for d in job.deps if d not in self._results)
-        self._dependents.setdefault(job.job_id, [])
-        for d in job.deps:
-            self._dependents.setdefault(d, []).append(job.job_id)
-        if unresolved:
-            self._waiting[job.job_id] = unresolved
-        else:
-            self._ready.append(job.job_id)
-        self._outstanding += 1
-        return job.job_id
-
-    def _next_id(self) -> int:
-        return next(self._ids)
-
-    # -- execution engine --------------------------------------------------
 
     def cancel(self) -> None:
-        """Cooperatively cancel the build: queued jobs stop dispatching."""
-        with self._cond:
-            self._cancelled.set()
-            self._cond.notify_all()
+        """Cooperatively cancel the build: no further task starts."""
+        self._cancelled.set()
 
-    def _execute(self, job: Job) -> object:
-        """Run one job with timeout accounting, bounded retries, backoff."""
-        last: BaseException | None = None
-        for attempt in range(self.max_retries + 1):
-            if self._cancelled.is_set():
-                raise BuildCancelled(f"cancelled before {job.label}")
-            job.attempts = attempt + 1
-            start = time.monotonic()
-            try:
-                if self.fault_hook is not None:
-                    self.fault_hook(job, attempt)
-                result = job.fn(self._worker_state)
-                elapsed = time.monotonic() - start
-                if elapsed > self.timeout_s:
-                    raise JobTimeout(
-                        f"{job.label} took {elapsed:.3f}s "
-                        f"(budget {self.timeout_s}s)")
-            except JobTimeout as exc:
-                self.metrics.counter("jobs_timeout").inc()
-                last = exc
-            except BuildCancelled:
-                raise
-            except Exception as exc:  # unexpected: simulator bug
-                last = exc
-            else:
-                self.metrics.histogram(
-                    f"job_latency_{job.kind.value}").observe(
-                        time.monotonic() - start)
-                return result
-            if attempt < self.max_retries:
-                self.metrics.counter("jobs_retried").inc()
-                if self.backoff_s > 0:
-                    time.sleep(self.backoff_s * (2 ** attempt))
-        raise SchedulerError(
-            f"job {job.label} failed after {job.attempts} attempt(s): "
-            f"{type(last).__name__}: {last}") from last
+    def _usable_store(self):
+        return self.store
 
-    def _worker(self) -> None:
-        while True:
-            with self._cond:
-                while (not self._ready and self._outstanding > 0
-                       and self._error is None
-                       and not self._cancelled.is_set()):
-                    self._cond.wait()
-                if (self._error is not None or self._outstanding == 0
-                        or self._cancelled.is_set()):
-                    self._cond.notify_all()
-                    return
-                self.metrics.histogram(
-                    "queue_depth",
-                    buckets=(0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512),
-                ).observe(len(self._ready))
-                job_id = self._ready.popleft()
-            job = self._jobs[job_id]
-            try:
-                result = self._execute(job)
-            except BaseException as exc:
-                with self._cond:
-                    if self._error is None:
-                        self._error = exc
-                    self._cond.notify_all()
-                return
-            with self._cond:
-                self._results[job_id] = result
-                self.metrics.counter(
-                    f"jobs_completed_{job.kind.value}").inc()
-                self._outstanding -= 1
-                for dep_id in self._dependents.get(job_id, ()):
-                    self._waiting[dep_id] -= 1
-                    if self._waiting[dep_id] == 0:
-                        del self._waiting[dep_id]
-                        self._ready.append(dep_id)
-                self._cond.notify_all()
+    def build(self) -> BuildReport:
+        """Evaluate (or load) every cell and assemble the matrix.
 
-    def run_all(self) -> None:
-        """Drain the DAG: run every added job, or raise on error/cancel."""
-        if not self._outstanding:
-            return
-        workers = [
-            threading.Thread(target=self._worker,
-                             name=f"{self.worker_name}-{i}", daemon=True)
-            for i in range(self.jobs)
-        ]
-        for w in workers:
-            w.start()
-        for w in workers:
-            w.join()
-        if self._error is not None:
-            raise self._error
-        if self._cancelled.is_set():
-            raise BuildCancelled(
-                f"build cancelled with {self._outstanding} job(s) "
-                f"outstanding")
+        Stored cells load first; the missing ones run as tasks and are
+        saved here, on the coordinator, as they arrive; the matrix is
+        assembled in ``all_cells()`` order.  A build served entirely by
+        the store starts no executor.
+        """
+        start = time.monotonic()
+        p = self.prefix
+        store = self._usable_store()
+        self.metrics.gauge(p + "workers").set(self.jobs)
+        cells: dict = {}
+        missing: list[Cell] = []
+        for cell in all_cells():
+            cached = store.load(cell) if store is not None else None
+            if cached is not None:
+                cells[cell] = cached
+                self.metrics.counter(p + "store_hits").inc()
+                continue
+            if store is not None:
+                self.metrics.counter(p + "store_misses").inc()
+            missing.append(cell)
 
-    # -- process backend ---------------------------------------------------
+        def done(i: int, payload: tuple[dict, int]) -> None:
+            serialized, work = payload
+            result = cells[missing[i]] = self._decode(serialized)
+            self.metrics.counter(self.work_counter).inc(work)
+            if store is not None:
+                store.save(result)
+                self.metrics.counter(p + "store_writes").inc()
 
-    def _split_fault_hook(self):
-        """A picklable hook ships to the workers; any other runs here."""
-        if self.fault_hook is None:
-            return None, None
-        try:
-            pickle.dumps(self.fault_hook)
-        except Exception:
-            return None, self.fault_hook  # coordinator-side
-        return self.fault_hook, None  # worker-side
+        self._evaluate(missing, done)
+        self.metrics.counter(p + "builds").inc()
+        return self.report(
+            matrix=self._matrix({cell: cells[cell] for cell in all_cells()}),
+            metrics=self.metrics,
+            jobs=self.jobs,
+            elapsed_s=time.monotonic() - start,
+            cells_from_store=len(cells) - len(missing),
+            cells_evaluated=len(missing),
+            store=self.store,
+        )
 
-    def _make_pool(self):
-        import concurrent.futures
-        import multiprocessing
+    # -- the one retry / timeout / crash loop ------------------------------
 
-        # fork (where available) is both faster to start and lets
-        # workers inherit the parent's warm compile caches; spawn is the
-        # portable fallback (worker fns are module-level, so they
-        # re-import cleanly).
+    def _make_pool(self) -> concurrent.futures.Executor:
+        if self.execution == EXECUTION_THREAD:
+            return concurrent.futures.ThreadPoolExecutor(
+                self.jobs, thread_name_prefix=f"{self.prefix}cell-worker")
+        # fork, where available, starts fast and inherits the warm
+        # compile caches; spawn is the portable fallback.
         methods = multiprocessing.get_all_start_methods()
         ctx = multiprocessing.get_context(
             "fork" if "fork" in methods else None)
         return concurrent.futures.ProcessPoolExecutor(
             max_workers=self.jobs, mp_context=ctx)
 
-    def run_tasks_in_processes(
-        self,
-        jobs_: list[Job],
-        runner: Callable,
-        args_list: list[tuple],
-    ) -> list[object]:
-        """Run independent picklable tasks on a worker-process pool.
+    def _evaluate(self, cells: list[Cell],
+                  on_done: Callable[[int, object], None]) -> None:
+        """Run the task of every cell in ``cells``, handing each result
+        to ``on_done(index, result)`` on the coordinator.
 
-        ``runner(*args_list[i])`` executes in a worker for each job in
-        ``jobs_``; results come back in input order.  Applies the same
-        bounded retry / backoff / post-hoc timeout policy as the thread
-        backend, plus crash recovery: a broken pool counts one
-        ``worker_crashes``, is rebuilt (``worker_restarts``), and every
-        in-flight task is retried against the fresh pool.
+        Raises :class:`SchedulerError` once a task exhausts its retries
+        and :class:`BuildCancelled` on cancel.
         """
-        import concurrent.futures
-        from concurrent.futures.process import BrokenProcessPool
+        if not cells:
+            return
+        kind = self.prefix + "cell"
+        infos = [JobInfo(":".join((kind,) + values), kind, values)
+                 for values in (tuple(p.value for p in c) for c in cells)]
+        args = [self._task_args(cell) for cell in cells]
+        process = self.execution == EXECUTION_PROCESS
+        wire_hook, local_hook = self.fault_hook, None
+        if process:
+            try:
+                pickle.dumps(args[0])
+            except _PICKLE_ERRORS as exc:
+                raise ValueError(
+                    f"task arguments must be picklable for process "
+                    f"execution: {exc}") from exc
+            try:
+                pickle.dumps(self.fault_hook)
+            except _PICKLE_ERRORS:
+                wire_hook, local_hook = None, self.fault_hook
+        counter = self.metrics.counter
+        attempts = [0] * len(cells)
+        pending = deque(range(len(cells)))
+        inflight: dict[concurrent.futures.Future, tuple[int, float]] = {}
 
-        if not jobs_:
-            return []
-        wire_hook, local_hook = self._split_fault_hook()
-        results: list[object] = [None] * len(jobs_)
-        attempts = [0] * len(jobs_)
-        pending: deque[int] = deque(range(len(jobs_)))
-        futures: dict[object, int] = {}
-        worker_pids: set[int] = set()
-        pool = self._make_pool()
-
-        def fail(i: int, exc: BaseException, *,
-                 count_crash: bool = True) -> None:
-            job = jobs_[i]
-            if isinstance(exc, WorkerCrash) and count_crash:
-                self.metrics.counter("worker_crashes").inc()
+        def retry(i: int, exc: Exception, crash_counted=False) -> None:
+            if isinstance(exc, WorkerCrash) and not crash_counted:
+                counter("worker_crashes").inc()
             if isinstance(exc, JobTimeout):
-                self.metrics.counter("jobs_timeout").inc()
-            if attempts[i] <= self.max_retries:
-                self.metrics.counter("jobs_retried").inc()
-                if self.backoff_s > 0:
-                    time.sleep(self.backoff_s * (2 ** (attempts[i] - 1)))
-                pending.append(i)
-                return
-            raise SchedulerError(
-                f"job {job.label} failed after {attempts[i]} attempt(s): "
-                f"{type(exc).__name__}: {exc}") from exc
+                counter("jobs_timeout").inc()
+            if attempts[i] > self.max_retries:
+                raise SchedulerError(
+                    f"job {infos[i].label} failed after {attempts[i]} "
+                    f"attempt(s): {type(exc).__name__}: {exc}") from exc
+            counter("jobs_retried").inc()
+            if self.backoff_s > 0:
+                time.sleep(self.backoff_s * (2 ** (attempts[i] - 1)))
+            pending.append(i)
 
+        pool = self._make_pool()
         try:
-            while pending or futures:
+            while pending or inflight:
                 if self._cancelled.is_set():
                     raise BuildCancelled(
-                        f"build cancelled with {len(pending) + len(futures)} "
-                        f"process task(s) outstanding")
-                while pending:
+                        f"build cancelled with {len(pending) + len(inflight)}"
+                        f" task(s) outstanding")
+                while pending and len(inflight) < self.jobs:
                     i = pending.popleft()
-                    job = jobs_[i]
                     attempts[i] += 1
-                    job.attempts = attempts[i]
-                    if local_hook is not None:
-                        try:
-                            local_hook(job, attempts[i] - 1)
-                        except BuildCancelled:
-                            raise
-                        except Exception as exc:
-                            fail(i, exc)
-                            continue
-                    info = JobInfo(label=job.label, kind=job.kind.value,
-                                   cell=tuple(p.value for p in job.cell))
-                    fut = pool.submit(_process_entry, info, runner,
-                                      args_list[i], attempts[i] - 1,
-                                      wire_hook)
-                    futures[fut] = i
-                if not futures:
-                    continue
-                done, _ = concurrent.futures.wait(
-                    futures, return_when=concurrent.futures.FIRST_COMPLETED)
-                pool_broken = False
-                for fut in done:
-                    i = futures.pop(fut)
-                    job = jobs_[i]
                     try:
-                        payload, elapsed, pid = fut.result()
-                    except BrokenProcessPool as exc:
-                        # One dead worker fails every in-flight future;
-                        # count the crash once (below) and retry each
-                        # casualty without inflating the crash counter.
-                        pool_broken = True
-                        fail(i, WorkerCrash(
-                            f"worker process died while {job.label} was "
-                            f"in flight: {exc}"), count_crash=False)
-                        continue
+                        if local_hook is not None:
+                            local_hook(infos[i], attempts[i] - 1)
                     except BuildCancelled:
                         raise
                     except Exception as exc:
-                        fail(i, exc)
+                        retry(i, exc)
                         continue
-                    if elapsed > self.timeout_s:
-                        fail(i, JobTimeout(
-                            f"{job.label} took {elapsed:.3f}s "
-                            f"(budget {self.timeout_s}s)"))
-                        continue
-                    worker_pids.add(pid)
-                    results[i] = payload
-                    self.metrics.counter(
-                        f"jobs_completed_{job.kind.value}").inc()
-                    self.metrics.histogram(
-                        f"job_latency_{job.kind.value}").observe(elapsed)
-                if pool_broken:
-                    self.metrics.counter("worker_crashes").inc()
-                    self.metrics.counter("worker_restarts").inc()
-                    # Drain the corpses: every remaining future is dead.
-                    for fut, i in list(futures.items()):
-                        fail(i, WorkerCrash(
-                            f"worker pool broke while {jobs_[i].label} "
-                            f"was in flight"), count_crash=False)
-                    futures.clear()
-                    pool.shutdown(wait=False, cancel_futures=True)
+                    future = pool.submit(_entry, infos[i], self._task,
+                                         args[i], attempts[i] - 1, wire_hook)
+                    inflight[future] = (i, time.monotonic() + self.timeout_s)
+                wait_s = None
+                if process and inflight:
+                    earliest = min(d for _, d in inflight.values())
+                    wait_s = max(0.0, earliest - time.monotonic())
+                done, _ = concurrent.futures.wait(
+                    inflight, wait_s, concurrent.futures.FIRST_COMPLETED)
+                broken = False
+                for future in done:
+                    i, _ = inflight.pop(future)
+                    try:
+                        payload, elapsed = future.result()
+                        if elapsed > self.timeout_s:
+                            raise JobTimeout(
+                                f"{infos[i].label} took {elapsed:.3f}s "
+                                f"(budget {self.timeout_s}s)")
+                    except BrokenProcessPool as exc:
+                        # A dead worker fails every in-flight future; the
+                        # crash is counted once, below.
+                        broken = True
+                        retry(i, WorkerCrash(
+                            f"worker process died while {infos[i].label} "
+                            f"was in flight: {exc}"), crash_counted=True)
+                    except BuildCancelled:
+                        raise
+                    except Exception as exc:
+                        retry(i, exc)
+                    else:
+                        counter(f"jobs_completed_{kind}").inc()
+                        self.metrics.histogram(
+                            f"job_latency_{kind}").observe(elapsed)
+                        on_done(i, payload)
+                now = time.monotonic()
+                expired = {i for i, d in inflight.values()
+                           if process and d <= now}
+                if broken or expired:
+                    if broken:
+                        counter("worker_crashes").inc()
+                    # Every worker goes; what was in flight starts over.
+                    _discard(pool)
                     pool = self._make_pool()
-        finally:
-            pool.shutdown(wait=False, cancel_futures=True)
-        self.metrics.gauge("process_workers_used").set(len(worker_pids))
-        return results
+                    counter("worker_restarts").inc()
+                    casualties = [i for i, _ in inflight.values()]
+                    inflight.clear()
+                    for i in casualties:
+                        if i in expired:
+                            retry(i, JobTimeout(
+                                f"{infos[i].label} ran past its "
+                                f"{self.timeout_s}s budget"))
+                        else:
+                            retry(i, WorkerCrash(
+                                f"worker pool restarted while "
+                                f"{infos[i].label} was in flight"),
+                                crash_counted=True)
+        except BaseException:
+            _discard(pool)
+            raise
+        pool.shutdown(wait=True)
 
 
-# -- process-mode worker bodies (module-level: must be importable) ------------
-
-
-def _process_entry(info: JobInfo, runner: Callable, args: tuple,
-                   attempt: int, fault_hook) -> tuple[object, float, int]:
-    """Run one task inside a worker process; returns (result, s, pid)."""
-    start = time.monotonic()
-    if fault_hook is not None:
-        fault_hook(info, attempt)
-    result = runner(*args)
-    return result, time.monotonic() - start, os.getpid()
-
-
-#: Per-worker-process caches: one device per vendor, one store handle
-#: per root.  Workers are long-lived, so these amortize across tasks.
-_WORKER_DEVICES: dict[Vendor, Device] = {}
-_WORKER_STORES: dict[tuple[str, Thresholds], "ResultStore"] = {}
-
-
-def _worker_device(vendor: Vendor,
-                   device_factory: Callable[[Vendor], Device] | None
-                   ) -> Device:
-    dev = _WORKER_DEVICES.get(vendor)
-    if dev is None:
-        factory = device_factory or _default_device_factory
-        dev = _WORKER_DEVICES[vendor] = factory(vendor)
-    return dev
-
-
-def _worker_result_store(root: str, thresholds: Thresholds) -> ResultStore:
-    key = (root, thresholds)
-    store = _WORKER_STORES.get(key)
-    if store is None:
-        store = _WORKER_STORES[key] = ResultStore(root,
-                                                  thresholds=thresholds)
-    return store
+# -- the matrix build ---------------------------------------------------------
 
 
 def _eval_matrix_cell_task(
-    cell_values: tuple[str, str, str],
+    cell: Cell,
     thresholds: Thresholds,
-    probe_filter,
-    store_root: str | None,
-    device_factory,
-) -> tuple[dict, dict]:
-    """Worker body: evaluate one full cell, publish it, return its dict.
+    probe_filter: Callable[[Probe], bool] | None,
+) -> tuple[dict, int]:
+    """Evaluate one full cell; returns it serialized and the probe count.
 
-    Mirrors the sequential per-cell loop of
-    :func:`repro.core.matrix.build_matrix` exactly — routes in registry
-    order, probes in suite order — so the payload reconstructs
-    bit-identically coordinator-side via ``cell_from_dict``.
+    Mirrors the per-cell loop of :func:`repro.core.matrix.build_matrix`
+    exactly — routes in registry order, probes in suite order — so the
+    payload decodes bit-identically via ``cell_from_dict``.
     """
-    from repro.service.store import cell_to_dict
-
-    vendor = Vendor(cell_values[0])
-    model = Model(cell_values[1])
-    language = Language(cell_values[2])
-    device = _worker_device(vendor, device_factory)
+    vendor, model, language = cell
+    device = _device(vendor)
     probes_run = 0
     results = []
     for route in routes_for(vendor, model, language):
-        outcomes = []
-        for probe in probes_for_route(route, probe_filter):
-            outcomes.append(run_single_probe(route, device, probe))
-            probes_run += 1
+        probes = probes_for_route(route, probe_filter)
+        outcomes = [run_single_probe(route, device, probe)
+                    for probe in probes]
+        probes_run += len(probes)
         results.append(assemble_route_result(route, outcomes, thresholds))
-    cell_result = assemble_cell(vendor, model, language, results)
-    publishes = 0
-    if store_root is not None and probe_filter is None:
-        _worker_result_store(store_root, thresholds).save(cell_result)
-        publishes = 1
-    return cell_to_dict(cell_result), {
-        "probes_executed": probes_run,
-        "store_publishes": publishes,
-    }
+    return cell_to_dict(assemble_cell(vendor, model, language,
+                                      results)), probes_run
 
 
+@dataclass(eq=False, kw_only=True)
 class MatrixScheduler(JobEngine):
-    """Builds the compatibility matrix as a job DAG on a thread pool."""
+    """Builds the compatibility matrix, one task per cell."""
 
-    worker_name = "matrix-worker"
+    _task = staticmethod(_eval_matrix_cell_task)
 
-    def __init__(
-        self,
-        jobs: int | None = 1,
-        *,
-        execution: str = EXECUTION_THREAD,
-        store: ResultStore | None = None,
-        thresholds: Thresholds = DEFAULT_THRESHOLDS,
-        probe_filter: Callable[[Probe], bool] | None = None,
-        metrics: MetricsRegistry | None = None,
-        device_factory: Callable[[Vendor], Device] | None = None,
-        timeout_s: float = 60.0,
-        max_retries: int = 2,
-        backoff_s: float = 0.05,
-        fault_hook: Callable[[Job, int], None] | None = None,
-    ):
-        super().__init__(
-            jobs,
-            execution=execution,
-            metrics=metrics,
-            device_factory=device_factory,
-            timeout_s=timeout_s,
-            max_retries=max_retries,
-            backoff_s=backoff_s,
-            fault_hook=fault_hook,
-        )
-        self.store = store
-        self.thresholds = thresholds
-        self.probe_filter = probe_filter
+    store: ResultStore | None = None
+    thresholds: Thresholds = DEFAULT_THRESHOLDS
+    probe_filter: Callable[[Probe], bool] | None = None
 
-    # -- DAG construction --------------------------------------------------
+    def _task_args(self, cell: Cell) -> tuple:
+        return cell, self.thresholds, self.probe_filter
 
-    def _build_route_jobs(self, cell: Cell, route: Route) -> int:
-        """Create translate -> compile -> probes -> classify; returns the
-        classify job id (the route's terminal)."""
-        translate = Job(
-            self._next_id(), JobKind.TRANSLATE, cell, route=route,
-            fn=lambda ws, r=route: self._run_translate(ws, r))
-        self._add(translate)
-        compile_ = Job(
-            self._next_id(), JobKind.COMPILE, cell, route=route,
-            deps=(translate.job_id,),
-            fn=lambda ws, r=route: self._run_compile_gate(ws, r))
-        self._add(compile_)
-        probe_ids: list[int] = []
-        for probe in probes_for_route(route, self.probe_filter):
-            job = Job(
-                self._next_id(), JobKind.PROBE, cell, route=route,
-                probe=probe, deps=(compile_.job_id,),
-                fn=lambda ws, r=route, p=probe: self._run_probe(ws, r, p))
-            probe_ids.append(self._add(job))
-        classify = Job(
-            self._next_id(), JobKind.CLASSIFY, cell, route=route,
-            deps=tuple(probe_ids),
-            fn=lambda ws, r=route, ids=tuple(probe_ids):
-                self._run_classify(r, ids))
-        return self._add(classify)
+    def _decode(self, payload: dict):
+        return cell_from_dict(payload, self.thresholds)
 
-    def _build_cell_jobs(self, cell: Cell) -> int:
-        vendor, model, language = cell
-        classify_ids = [
-            self._build_route_jobs(cell, route)
-            for route in routes_for(vendor, model, language)
-        ]
-        job = Job(
-            self._next_id(), JobKind.CELL, cell, deps=tuple(classify_ids),
-            fn=lambda ws, c=cell, ids=tuple(classify_ids):
-                self._run_cell(c, ids))
-        return self._add(job)
+    def _matrix(self, cells: dict) -> CompatibilityMatrix:
+        return CompatibilityMatrix(cells=cells, thresholds=self.thresholds)
 
-    # -- job bodies --------------------------------------------------------
-
-    def _run_translate(self, ws: _WorkerState, route: Route) -> dict:
-        device = ws.device(route.vendor)
-        try:
-            runtime = route.chain(device)
-        except (ReproError, AttributeError) as exc:
-            return {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
-        translator = getattr(runtime, "translator", None)
-        return {
-            "ok": True,
-            "translator": type(translator).__name__ if translator else None,
-        }
-
-    def _run_compile_gate(self, ws: _WorkerState, route: Route) -> dict:
-        """Advisory compile-readiness check (authoritative compiles run
-        inside probes, deduplicated by the single-flight cache)."""
-        device = ws.device(route.vendor)
-        try:
-            runtime = route.chain(device)
-        except (ReproError, AttributeError) as exc:
-            return {"ready": False, "error": f"{type(exc).__name__}: {exc}"}
-        toolchain = getattr(runtime, "toolchain", None)
-        if toolchain is None:
-            return {"ready": True, "toolchain": None}
-        model = getattr(runtime, "MODEL", route.model)
-        language = getattr(runtime, "language", route.language)
-        accepts = toolchain.accepts(model, language)
-        emits = device.isa in toolchain.targets_for(model, language)
-        # A translated route is compiled in the *target* model, so a
-        # front-model rejection here is expected, not a failure.
-        translated = getattr(runtime, "translator", None) is not None
-        return {
-            "ready": bool((accepts and emits) or translated),
-            "toolchain": toolchain.name,
-        }
-
-    def _run_probe(self, ws: _WorkerState, route: Route, probe: Probe):
-        device = ws.device(route.vendor)
-        self.metrics.counter("probes_executed").inc()
-        return run_single_probe(route, device, probe)
-
-    def _run_classify(self, route: Route, probe_ids: tuple[int, ...]):
-        outcomes = [self._results[i] for i in probe_ids]
-        return assemble_route_result(route, outcomes, self.thresholds)
-
-    def _run_cell(self, cell: Cell, classify_ids: tuple[int, ...]):
-        vendor, model, language = cell
-        results = [self._results[i] for i in classify_ids]
-        cell_result = assemble_cell(vendor, model, language, results)
-        if self.store is not None and self.probe_filter is None:
-            self.store.save(cell_result)
-            self.metrics.counter("store_writes").inc()
-        return cell_result
-
-    # -- the process backend: one task per cell ----------------------------
-
-    def _build_cells_in_processes(self, missing: list[Cell]) -> dict[Cell,
-                                                                     object]:
-        """Evaluate ``missing`` cells on the worker-process fleet."""
-        from repro.service.store import cell_from_dict
-
-        for name, value in (("probe_filter", self.probe_filter),
-                            ("device_factory",
-                             None if self._device_factory
-                             is _default_device_factory
-                             else self._device_factory)):
-            if value is not None:
-                try:
-                    pickle.dumps(value)
-                except Exception as exc:
-                    raise ValueError(
-                        f"{name} must be picklable for process execution "
-                        f"(got {value!r}): {exc}") from exc
-        store_root = (str(self.store.root)
-                      if self.store is not None else None)
-        factory = (None if self._device_factory is _default_device_factory
-                   else self._device_factory)
-        jobs_ = [Job(self._next_id(), JobKind.CELL, cell)
-                 for cell in missing]
-        args_list = [
-            (tuple(p.value for p in cell), self.thresholds,
-             self.probe_filter, store_root, factory)
-            for cell in missing
-        ]
-        payloads = self.run_tasks_in_processes(
-            jobs_, _eval_matrix_cell_task, args_list)
-        evaluated: dict[Cell, object] = {}
-        for cell, (payload, stats) in zip(missing, payloads):
-            self.metrics.counter("probes_executed").inc(
-                stats["probes_executed"])
-            if stats["store_publishes"]:
-                self.metrics.counter("store_writes").inc(
-                    stats["store_publishes"])
-                self.store.stats._inc("writes")
-            evaluated[cell] = cell_from_dict(payload, self.thresholds)
-        return evaluated
-
-    # -- public API --------------------------------------------------------
-
-    def build(self) -> BuildReport:
-        """Evaluate (or load) all 51 cells and assemble the matrix."""
-        start = time.monotonic()
-        self.metrics.gauge("workers").set(self.jobs)
-        cell_jobs: dict[Cell, int] = {}
-        missing: list[Cell] = []
-        stored: dict[Cell, object] = {}
-        use_store = self.store is not None and self.probe_filter is None
-        use_processes = self.execution == EXECUTION_PROCESS
+    def _usable_store(self):
         if self.store is not None and self.probe_filter is not None:
+            # A filter callable is not fingerprintable.
             self.metrics.counter("store_bypassed").inc()
-        for cell in all_cells():
-            if use_store:
-                cached = self.store.load(cell)
-                if cached is not None:
-                    stored[cell] = cached
-                    self.metrics.counter("store_hits").inc()
-                    continue
-                self.metrics.counter("store_misses").inc()
-            if use_processes:
-                missing.append(cell)
-            else:
-                cell_jobs[cell] = self._build_cell_jobs(cell)
-
-        if use_processes:
-            evaluated = self._build_cells_in_processes(missing)
-        else:
-            self.run_all()
-            evaluated = {cell: self._results[job_id]
-                         for cell, job_id in cell_jobs.items()}
-
-        cells = {}
-        for cell in all_cells():
-            if cell in stored:
-                cells[cell] = stored[cell]
-            else:
-                cells[cell] = evaluated[cell]
-        matrix = CompatibilityMatrix(cells=cells, thresholds=self.thresholds)
-        elapsed = time.monotonic() - start
-        self.metrics.counter("builds").inc()
-        return BuildReport(
-            matrix=matrix,
-            metrics=self.metrics,
-            jobs=self.jobs,
-            elapsed_s=elapsed,
-            cells_from_store=len(stored),
-            cells_evaluated=len(evaluated),
-            store=self.store,
-        )
+            return None
+        return self.store
 
 
 def build_matrix_concurrent(
@@ -874,11 +466,10 @@ def build_matrix_concurrent(
     thresholds: Thresholds = DEFAULT_THRESHOLDS,
     probe_filter: Callable[[Probe], bool] | None = None,
     metrics: MetricsRegistry | None = None,
-    device_factory: Callable[[Vendor], Device] | None = None,
     timeout_s: float = 60.0,
     max_retries: int = 2,
     backoff_s: float = 0.05,
-    fault_hook: Callable[[Job, int], None] | None = None,
+    fault_hook: Callable[[JobInfo, int], None] | None = None,
 ) -> BuildReport:
     """One-call concurrent matrix build (see :class:`MatrixScheduler`).
 
@@ -897,7 +488,6 @@ def build_matrix_concurrent(
         thresholds=thresholds,
         probe_filter=probe_filter,
         metrics=metrics,
-        device_factory=device_factory,
         timeout_s=timeout_s,
         max_retries=max_retries,
         backoff_s=backoff_s,

@@ -116,22 +116,6 @@ __all__ = [
 ]
 
 
-def __getattr__(name: str):
-    # Deprecation shim: ServiceError's canonical home moved to
-    # repro.service.api in the versioned-API redesign.  Deep imports of
-    # the old location keep working for one release, warning once.
-    if name == "ServiceError":
-        import warnings
-
-        warnings.warn(
-            "repro.service.server.ServiceError moved to repro.service.api; "
-            "import it from repro.service",
-            DeprecationWarning, stacklevel=2)
-        return _ServiceError
-    raise AttributeError(
-        f"module 'repro.service.server' has no attribute {name!r}")
-
-
 def _parse_vendor(text: str) -> Vendor:
     for v in Vendor:
         if v.value.lower() == text.lower():

@@ -10,8 +10,10 @@ metrics registry — is tested against that same fixed ground truth.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import threading
+import time
 
 import pytest
 
@@ -23,9 +25,9 @@ from repro.isa.interpreter import snapshot_interpreter_totals
 from repro.isa.module import ModuleIR
 from repro.kernels import KERNEL_LIBRARY
 from repro.service import (
+    EXECUTION_MODES,
     BuildCancelled,
     InProcessClient,
-    JobKind,
     JobTimeout,
     MatrixScheduler,
     MatrixService,
@@ -99,18 +101,19 @@ def test_diagnostics_identical_across_worker_counts():
 
 
 def test_scheduler_metrics_cover_all_job_kinds(seq_matrix):
+    """The build has one job kind, the cell task: 51 of them complete,
+    each with a latency sample, running exactly the sequential probes."""
     metrics = MetricsRegistry()
     report = build_matrix_concurrent(4, metrics=metrics)
     assert report.matrix.cells == seq_matrix.cells
     snap = metrics.snapshot()
-    for kind in JobKind:
-        assert snap["counters"][f"jobs_completed_{kind.value}"] > 0
     assert snap["counters"]["jobs_completed_cell"] == 51
-    assert snap["counters"]["probes_executed"] == \
-        snap["counters"]["jobs_completed_probe"]
+    assert snap["histograms"]["job_latency_cell"]["count"] == 51
+    sequential_probes = sum(len(rr.suite.outcomes)
+                            for cell in seq_matrix.cells.values()
+                            for rr in cell.routes)
+    assert snap["counters"]["probes_executed"] == sequential_probes
     assert snap["gauges"]["workers"] == 4
-    assert snap["histograms"]["job_latency_probe"]["count"] > 0
-    assert snap["histograms"]["queue_depth"]["count"] > 0
 
 
 # -- the persistent result store ----------------------------------------------
@@ -233,50 +236,61 @@ def _first_probe_filter(probe):
     }
 
 
+#: The fault-hook target: the task of the NVIDIA/CUDA/C++ cell (both
+#: executors run one ``cell`` job per cell).
+_CRASH_LABEL = "cell:NVIDIA:CUDA:C++"
+
+
 def test_seeded_timeout_succeeds_on_retry(seq_matrix):
-    """A probe job that times out twice still yields the correct cell."""
+    """A cell job that times out twice still yields the correct cell."""
     reference = build_matrix(probe_filter=_first_probe_filter)
-    fails: dict[str, int] = {}
+    for execution in EXECUTION_MODES:
+        fails: dict[str, int] = {}
 
-    def hook(job, attempt):
-        if job.kind is JobKind.PROBE and job.route.route_id == "nv-cuda-cpp-nvcc":
-            n = fails.setdefault(job.label, 0)
-            if n < 2:
-                fails[job.label] = n + 1
-                raise JobTimeout(f"injected timeout #{n + 1} for {job.label}")
+        def hook(info, attempt):
+            if info.label == _CRASH_LABEL:
+                n = fails.setdefault(info.label, 0)
+                if n < 2:
+                    fails[info.label] = n + 1
+                    raise JobTimeout(
+                        f"injected timeout #{n + 1} for {info.label}")
 
-    metrics = MetricsRegistry()
-    report = build_matrix_concurrent(
-        4, probe_filter=_first_probe_filter, metrics=metrics,
-        fault_hook=hook, backoff_s=0.001, max_retries=2)
-    assert report.matrix.cells == reference.cells
-    assert metrics.counter("jobs_timeout").get() == 2
-    assert metrics.counter("jobs_retried").get() == 2
+        metrics = MetricsRegistry()
+        report = build_matrix_concurrent(
+            4, execution=execution, probe_filter=_first_probe_filter,
+            metrics=metrics, fault_hook=hook, backoff_s=0.001,
+            max_retries=2)
+        assert report.matrix.cells == reference.cells, execution
+        assert metrics.counter("jobs_timeout").get() == 2, execution
+        assert metrics.counter("jobs_retried").get() == 2, execution
 
 
 def test_retries_exhausted_raises_scheduler_error():
-    def hook(job, attempt):
-        if job.kind is JobKind.PROBE:
+    def hook(info, attempt):
+        if info.label == _CRASH_LABEL:
             raise JobTimeout("injected permanent timeout")
 
-    with pytest.raises(SchedulerError, match="probe"):
-        build_matrix_concurrent(
-            2, probe_filter=_first_probe_filter, fault_hook=hook,
-            backoff_s=0.0, max_retries=1)
+    for execution in EXECUTION_MODES:
+        with pytest.raises(SchedulerError, match=r"cell:NVIDIA:CUDA:C\+\+"):
+            build_matrix_concurrent(
+                2, execution=execution, probe_filter=_first_probe_filter,
+                fault_hook=hook, backoff_s=0.0, max_retries=1)
 
 
 def test_cancellation_stops_the_build():
-    box: dict[str, MatrixScheduler] = {}
+    for execution in EXECUTION_MODES:
+        box: dict[str, MatrixScheduler] = {}
 
-    def hook(job, attempt):
-        if job.kind is JobKind.PROBE:
-            box["scheduler"].cancel()
+        def hook(info, attempt):
+            if info.label == _CRASH_LABEL:
+                box["scheduler"].cancel()
 
-    scheduler = MatrixScheduler(
-        4, probe_filter=_first_probe_filter, fault_hook=hook, backoff_s=0.0)
-    box["scheduler"] = scheduler
-    with pytest.raises(BuildCancelled):
-        scheduler.build()
+        scheduler = MatrixScheduler(
+            4, execution=execution, probe_filter=_first_probe_filter,
+            fault_hook=hook, backoff_s=0.0)
+        box["scheduler"] = scheduler
+        with pytest.raises(BuildCancelled):
+            scheduler.build()
 
 
 # -- the serving layer --------------------------------------------------------
@@ -611,8 +625,8 @@ def test_fleet_perf_build_byte_identical(jobs, execution, seq_matrix,
 
 
 def test_process_store_is_the_mailbox(tmp_path, seq_matrix):
-    """Workers publish cells into the shared store; a warm rerun then
-    serves everything with zero probe executions."""
+    """Workers return cells and the coordinator stores them; a warm
+    rerun then serves everything with zero probe executions."""
     cold_metrics = MetricsRegistry()
     cold = build_matrix_concurrent(
         2, execution="process", store=str(tmp_path), metrics=cold_metrics)
@@ -629,6 +643,32 @@ def test_process_store_is_the_mailbox(tmp_path, seq_matrix):
     assert warm_metrics.counter("probes_executed").get() == 0
 
 
+def test_thread_and_process_builds_do_equal_work(tmp_path):
+    """Cold builds of the same inputs count the same work on both
+    executors, in the matrix and in the perf build."""
+    from repro.perfport import PerfParams, run_perf_matrix
+
+    names = ("probes_executed", "jobs_completed_cell", "store_writes",
+             "stream_runs", "perf_store_writes")
+    counts = {}
+    for execution in EXECUTION_MODES:
+        metrics = MetricsRegistry()
+        run_perf_matrix(2, execution=execution,
+                        store=str(tmp_path / execution),
+                        params=PerfParams(n=1 << 12, reps=2), metrics=metrics)
+        counters = metrics.snapshot()["counters"]
+        counts[execution] = {name: counters[name] for name in names}
+    assert counts["thread"] == counts["process"]
+    assert counts["thread"]["store_writes"] == 51
+    assert counts["thread"]["perf_store_writes"] == 51
+
+
+def test_process_build_waits_for_its_workers():
+    before = set(multiprocessing.active_children())
+    build_matrix_concurrent(2, execution="process")
+    assert set(multiprocessing.active_children()) <= before
+
+
 def test_process_backend_rejects_unpicklable_probe_filter():
     with pytest.raises(ValueError, match="picklable"):
         build_matrix_concurrent(
@@ -638,11 +678,6 @@ def test_process_backend_rejects_unpicklable_probe_filter():
 def test_execution_knob_rejects_typos():
     with pytest.raises(ValueError, match="execution"):
         build_matrix_concurrent(1, execution="fibers")
-
-
-#: The fault-hook target: the cell task for NVIDIA/CUDA/C++ (the
-#: process backend schedules one CELL job per cell).
-_CRASH_LABEL = "cell:NVIDIA:CUDA:C++"
 
 
 def _crash_twice_hook(info, attempt):
@@ -687,6 +722,35 @@ def test_simulated_crash_via_local_hook():
     assert metrics.counter("worker_crashes").get() == 2
     assert metrics.counter("worker_restarts").get() == 0  # no pool died
     assert metrics.counter("jobs_retried").get() == 2
+
+
+#: Wall-clock bound on the hung-task build below; the hung attempt
+#: alone would sleep for ``_HANG_S``.
+_HUNG_BUILD_DEADLINE_S = 30.0
+_HANG_S = 120.0
+
+
+def _hang_once_hook(info, attempt):
+    """Picklable worker-side hook: the first attempt at the target cell
+    hangs far past any budget (only a killed worker ends it)."""
+    if info.label == _CRASH_LABEL and attempt == 0:
+        time.sleep(_HANG_S)
+
+
+def test_process_timeout_bounds_a_hung_task():
+    """A process task past ``timeout_s`` is killed and retried: one
+    timeout, no crash, and the build finishes well before the hang."""
+    reference = build_matrix(probe_filter=_first_probe_filter)
+    metrics = MetricsRegistry()
+    start = time.monotonic()
+    report = build_matrix_concurrent(
+        2, execution="process", probe_filter=_first_probe_filter,
+        metrics=metrics, fault_hook=_hang_once_hook, timeout_s=3.0,
+        backoff_s=0.001, max_retries=2)
+    assert time.monotonic() - start < _HUNG_BUILD_DEADLINE_S
+    assert report.matrix.cells == reference.cells
+    assert metrics.counter("jobs_timeout").get() == 1
+    assert metrics.counter("worker_crashes").get() == 0
 
 
 def test_process_retries_exhausted_is_a_typed_error():
