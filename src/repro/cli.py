@@ -786,13 +786,15 @@ def cmd_changelog(args) -> int:
 
 def _print_stats() -> None:
     """Compile-cache and interpreter counters accumulated this process."""
-    from repro.compilers.toolchain import compile_cache_stats
+    from repro.compilers.toolchain import compile_cache_stats, stage_memo_stats
     from repro.isa.interpreter import snapshot_interpreter_totals
 
     cc = compile_cache_stats().snapshot()
+    stages = stage_memo_stats().snapshot()
     total = cc.hits + cc.misses
     rate = f" ({cc.hits / total:.0%} hit rate)" if total else ""
-    print(f"[stats] compile cache: {cc.hits} hits, {cc.misses} misses{rate}")
+    print(f"[stats] compile cache: {cc.hits} hits, {cc.misses} misses{rate}; "
+          f"stages: {stages.hits} hits, {stages.misses} misses")
     it = snapshot_interpreter_totals()
     st = it.stats
     print(f"[stats] interpreter: {it.launches} launches, "

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import threading
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.enums import ISA, Language, Maturity, Model, Provider
 from repro.errors import (
@@ -115,9 +115,54 @@ class CompileCacheStats:
         return self.hits / t if t else 0.0
 
 
+class _Memo:
+    """A content-keyed memo whose misses are single-flighted per key.
+
+    Concurrent misses on one key do one build: the first caller builds
+    while the rest wait on the key's lock, then find the entry and count
+    as hits.  Distinct keys build concurrently.  A build that raises
+    stores nothing, so its error is raised again on every attempt.
+    """
+
+    def __init__(self):
+        self.entries: dict[tuple, object] = {}
+        self._inflight: dict[tuple, threading.Lock] = {}
+        self._guard = threading.Lock()
+
+    def get(self, key: tuple, build, *stats: CompileCacheStats):
+        """The entry for ``key``, from ``build()`` on a miss; every
+        ``stats`` records the lookup as a hit or a miss."""
+        entry = self.entries.get(key)
+        if entry is None:
+            with self._guard:
+                flight = self._inflight.setdefault(key, threading.Lock())
+            with flight:
+                entry = self.entries.get(key)
+                if entry is None:
+                    for s in stats:
+                        s.record_miss()
+                    try:
+                        entry = self.entries[key] = build()
+                    finally:
+                        with self._guard:
+                            self._inflight.pop(key, None)
+                    return entry
+        for s in stats:
+            s.record_hit()
+        return entry
+
+
 #: Process-wide aggregate across all toolchain instances; feeds the CLI
 #: ``--stats`` line and the matrix-rebuild acceptance check.
 _GLOBAL_CACHE_STATS = CompileCacheStats()
+
+#: The stage memo under every toolchain's compile cache: the optimized
+#: module per (kernel content, opt level), its kernelsan report per
+#: sanitize configuration, and its lowered binary per ISA.  Shared by
+#: all toolchains, because none of the three passes reads which
+#: toolchain, model, language or unit asked.
+_STAGES = _Memo()
+_STAGE_STATS = CompileCacheStats()
 
 #: Live toolchain instances, so :func:`clear_compile_cache` can reach
 #: every per-instance cache (the registry memoizes instances anyway).
@@ -129,14 +174,22 @@ def compile_cache_stats() -> CompileCacheStats:
     return _GLOBAL_CACHE_STATS
 
 
+def stage_memo_stats() -> CompileCacheStats:
+    """Process-wide stage-memo counters: one hit or miss per optimize,
+    sanitize or legalize lookup made by a compile-cache miss."""
+    return _STAGE_STATS
+
+
 def clear_compile_cache() -> None:
-    """Drop every cached compile result and zero the global counters."""
+    """Drop every cached compile result and stage, and zero the counters."""
     with _STATS_LOCK:
         for tc in _ALL_TOOLCHAINS:
-            tc._compile_cache.clear()
+            tc._compile_cache.entries.clear()
             tc.cache_stats = CompileCacheStats()
-        _GLOBAL_CACHE_STATS.hits = 0
-        _GLOBAL_CACHE_STATS.misses = 0
+        _STAGES.entries.clear()
+        for stats in (_GLOBAL_CACHE_STATS, _STAGE_STATS):
+            stats.hits = 0
+            stats.misses = 0
 
 
 class Toolchain:
@@ -161,11 +214,9 @@ class Toolchain:
         self._caps: dict[tuple[Model, Language], Capability] = {
             (c.model, c.language): c for c in capabilities
         }
-        self._compile_cache: dict[tuple, CompileResult] = {}
-        #: Per-key single-flight locks: N concurrent compiles of the
-        #: same unit do one build while the rest wait for the cache.
-        self._inflight: dict[tuple, threading.Lock] = {}
-        self._inflight_guard = threading.Lock()
+        #: Compile results by unit content, target and configuration;
+        #: N concurrent compiles of the same unit do one build.
+        self._compile_cache = _Memo()
         self.cache_stats = CompileCacheStats()
         _ALL_TOOLCHAINS.add(self)
 
@@ -232,7 +283,10 @@ class Toolchain:
 
         The cache is safe under concurrent callers: misses on the same
         key are single-flighted (one thread builds, the rest wait and
-        then hit), and all counters are lock-protected.
+        then hit), and all counters are lock-protected.  Below it, a
+        process-wide stage memo keyed on kernel content alone runs
+        optimize, sanitize and legalize once per distinct kernel (see
+        :meth:`_compile_uncached`).
         """
         cap = self._caps.get((tu.model, tu.language))
         if cap is None:
@@ -253,54 +307,55 @@ class Toolchain:
         origin_token = (
             tu.origin.cache_token() if tu.origin is not None else None
         )
-        key = (tu.fingerprint(), origin_token, target, tuple(options),
+        fingerprint, content = tu.digests()
+        key = (fingerprint, origin_token, target, tuple(options),
                self.opt_level, sanitize, repr(sanitize_options))
-        cached = self._compile_cache.get(key)
-        if cached is not None:
-            self.cache_stats.record_hit()
-            _GLOBAL_CACHE_STATS.record_hit()
-            return cached
-        # Single-flight: serialize concurrent misses on the *same* key so
-        # N workers compiling one TU do one compile; waiters re-check the
-        # cache under the key lock and count as hits.  Distinct keys keep
-        # compiling concurrently.
-        with self._inflight_guard:
-            flight = self._inflight.setdefault(key, threading.Lock())
-        with flight:
-            cached = self._compile_cache.get(key)
-            if cached is not None:
-                self.cache_stats.record_hit()
-                _GLOBAL_CACHE_STATS.record_hit()
-                return cached
-            result = self._compile_uncached(tu, target, options,
-                                            sanitize, sanitize_options)
-            self._compile_cache[key] = result
-        with self._inflight_guard:
-            self._inflight.pop(key, None)
-        return result
+        return self._compile_cache.get(
+            key,
+            lambda: self._compile_uncached(tu, content, target, options,
+                                           sanitize, sanitize_options),
+            self.cache_stats, _GLOBAL_CACHE_STATS)
 
     def _compile_uncached(
         self,
         tu: TranslationUnit,
+        content: str,
         target: ISA,
         options: tuple[str, ...],
         sanitize: bool,
         sanitize_options,
     ) -> CompileResult:
-        """The actual pipeline behind a compile-cache miss."""
-        self.cache_stats.record_miss()
-        _GLOBAL_CACHE_STATS.record_miss()
+        """The pipeline behind a compile-cache miss.
 
-        module = ModuleIR(name=tu.name)
-        for k in tu.kernels:
-            module.add(k.ir)
-        optimized, report = optimize_module(module, level=self.opt_level)
+        Optimize, sanitize and legalize run once per kernel ``content``
+        through the stage memo, and their outputs are shared by
+        reference: compiled IR is never mutated once built.  What
+        belongs to this unit is built fresh on every miss -- the binary
+        (named after the unit, produced by this toolchain), the pass
+        report, and a ``LintReport`` holding this unit's own transval
+        findings.
+        """
+        level = self.opt_level
+
+        def optimize():
+            module = ModuleIR(name=tu.name)
+            for k in tu.kernels:
+                module.add(k.ir)
+            return optimize_module(module, level=level)
+
+        optimized, report = _STAGES.get(("optimize", content, level),
+                                        optimize, _STAGE_STATS)
         diagnostics = None
         warnings: list[str] = []
         if sanitize:
             from repro.compilers.passes import sanitize_module
 
-            diagnostics = sanitize_module(optimized, sanitize_options)
+            kernelsan = _STAGES.get(
+                ("sanitize", content, level, repr(sanitize_options)),
+                lambda: sanitize_module(optimized, sanitize_options),
+                _STAGE_STATS)
+            diagnostics = replace(
+                kernelsan, diagnostics=list(kernelsan.diagnostics))
             from repro.translate.base import TranslationOrigin
 
             # Only translated units have a source unit to validate
@@ -314,17 +369,23 @@ class Toolchain:
             warnings.extend(
                 d.render() for d in diagnostics.diagnostics if not d.is_error
             )
-        binary = legalize(optimized, target, producer=f"{self.name}-{self.version}")
-        result = CompileResult(
+        lowered = _STAGES.get(("legalize", content, level, target),
+                              lambda: legalize(optimized, target),
+                              _STAGE_STATS)
+        binary = replace(
+            lowered,
+            module=ModuleIR(name=tu.name, kernels=dict(lowered.module.kernels)),
+            producer=f"{self.name}-{self.version}",
+        )
+        return CompileResult(
             binary=binary,
             toolchain=self.name,
             target=target,
             options=tuple(options),
-            pass_report=report,
+            pass_report=dict(report),
             warnings=warnings,
             diagnostics=diagnostics,
         )
-        return result
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         pairs = sorted(f"{m.value}/{l.value}" for m, l in self._caps)

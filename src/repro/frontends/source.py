@@ -81,21 +81,34 @@ class TranslationUnit:
         content-based reprs, so ``repr`` of a kernel body is a stable
         structural fingerprint.
         """
-        h = hashlib.sha256()
-        h.update(f"{self.model.value}|{self.language.value}".encode())
+        return self.digests()[0]
+
+    def digests(self) -> tuple[str, str]:
+        """``(fingerprint, kernel content)``, repr-ing each body once.
+
+        The first is :meth:`fingerprint`.  The second covers only the
+        kernels -- each one's name, params, body and feature tags -- and
+        leaves out model, language and unit features, which no optimize,
+        sanitize or lowering pass reads; toolchains key their shared
+        stage memo on it.
+        """
+        unit = hashlib.sha256(f"{self.model.value}|{self.language.value}".encode())
         for tag in sorted(self.features):
-            h.update(f"|{tag}".encode())
+            unit.update(f"|{tag}".encode())
+        content = hashlib.sha256()
         for k in self.kernels:
             ir = k.ir
             params = ",".join(
                 f"{p.name}:{'*' if p.is_pointer else ''}{p.dtype.name}"
                 for p in ir.params
             )
-            h.update(f"#{ir.name}({params})".encode())
-            h.update(repr(ir.body).encode())
-            for tag in sorted(ir.features):
-                h.update(f"+{tag}".encode())
-        return h.hexdigest()
+            parts = [f"#{ir.name}({params})", repr(ir.body)]
+            parts += [f"+{tag}" for tag in sorted(ir.features)]
+            for part in parts:
+                data = part.encode()
+                unit.update(data)
+                content.update(data)
+        return unit.hexdigest(), content.hexdigest()
 
     def kernel(self, name: str) -> KernelFn:
         for k in self.kernels:

@@ -125,13 +125,24 @@ class DeviceMemory:
         return self._starts, self._ends
 
     def validate(self, addrs: np.ndarray, itemsize: int, write: bool) -> None:
-        """Interpreter hook: every address must fall in a live allocation."""
+        """Interpreter hook: every address must fall in a live allocation.
+
+        Accepts in O(1) when ``[min, max + itemsize)`` of the addresses
+        lies inside one live allocation; anything else (a fault, a run
+        over abutting allocations, negative or wrapped addresses) takes
+        the per-lane check, which names the first offender.
+        """
         if addrs.size == 0:
             return
         starts, ends = self._tables()
         a = addrs.astype(np.int64, copy=False)
         if starts.size == 0:
             raise MemoryFaultError("device access with no live allocations")
+        lo = int(a.min())
+        if lo >= 0:
+            first = int(np.searchsorted(starts, lo, side="right")) - 1
+            if first >= 0 and int(a.max()) + itemsize <= int(ends[first]):
+                return
         slot = np.searchsorted(starts, a, side="right") - 1
         bad = (slot < 0) | (a + itemsize > ends[np.maximum(slot, 0)])
         if bad.any():

@@ -19,10 +19,13 @@ block-private state is kept per batched block:
 * **warps** never span blocks (``warp_base``/``warp_len`` are computed
   per block), so cross-lane shuffles are unaffected by batching.
 
-Batch geometry arrays (tid/ctaid/warp tables) are cached per shape and
-the shared arena is reused across batches, so repeated launches of the
-same grid pay no per-batch setup — the "vectorize the hot loop" rule of
-the hpc-parallel guides applied to an interpreter.
+Batch geometry arrays (tid/block/warp tables) are built once per
+``(n_blocks, block, warp_size)`` and shared, read-only, by every
+executor in the process; each executor also keeps its recent batches
+(with their ctaid), and the shared arena is reused across batches, so
+repeated launches of the same grid pay no per-batch setup — the
+"vectorize the hot loop" rule of the hpc-parallel guides applied to an
+interpreter.
 
 Divergence is handled with boolean lane masks, exactly like the
 reconvergence stacks in real SIMT hardware:
@@ -92,8 +95,11 @@ _SHARED_ROW_ALIGN = 16
 #: Upper bound on the batched shared arena; kernels with large per-block
 #: tiles get their ``blocks_per_batch`` capped instead of a huge arena.
 _SHARED_ARENA_BYTES = 32 * 1024 * 1024
-#: Entries kept in the per-executor batch-geometry cache (FIFO evicted).
+#: Entries kept in the per-executor batch cache (FIFO evicted).
 _GEOM_CACHE_ENTRIES = 16
+#: Lanes kept in the process-wide geometry tables (FIFO evicted; the
+#: newest entry always stays): 2^20 lanes is about 46 MB of tables.
+_GEOM_TABLE_LANES = 1 << 20
 
 
 @dataclass
@@ -191,6 +197,66 @@ def reset_interpreter_totals() -> None:
         _TOTALS.launches = 0
         _TOTALS.stats = LaunchStats()
         _TOTALS.trace = TraceTotals()
+
+
+#: Lane-geometry tables shared by every executor, keyed by
+#: ``(n_blocks, block, warp_size)``; see :func:`_geometry`.
+_GEOM_TABLES: dict[tuple, tuple] = {}
+_GEOM_LOCK = threading.Lock()
+
+
+def _build_geometry(n_blocks: int, block: tuple[int, int, int],
+                    warp_size: int) -> tuple:
+    """``(block_linear, block_row, tid, warp_base, warp_len)`` lane
+    tables for a batch of ``n_blocks`` blocks, frozen read-only."""
+    bx, by, bz = block
+    block_threads = bx * by * bz
+    lin = np.arange(n_blocks * block_threads, dtype=np.int64)
+    block_lin = lin % block_threads
+    block_row = lin // block_threads
+    tid_x = (block_lin % bx).astype(np.uint32)
+    tid_y = ((block_lin // bx) % by).astype(np.uint32)
+    tid_z = (block_lin // (bx * by)).astype(np.uint32)
+    # Warp geometry: warps never span blocks; the last warp of a
+    # block may be partial.
+    warp_in_block = block_lin // warp_size
+    warp_start_in_block = warp_in_block * warp_size
+    batch_block_start = lin - block_lin
+    warp_base = batch_block_start + warp_start_in_block
+    warp_len = np.minimum(
+        warp_size, block_threads - warp_start_in_block
+    ).astype(np.int64)
+    for arr in (block_lin, block_row, tid_x, tid_y, tid_z,
+                warp_base, warp_len):
+        arr.flags.writeable = False
+    return block_lin, block_row, (tid_x, tid_y, tid_z), warp_base, warp_len
+
+
+def _geometry(n_blocks: int, block: tuple[int, int, int],
+              warp_size: int) -> tuple:
+    """The process-wide lane tables for one batch shape, built on first
+    use.  Concurrent first uses may both build; every caller gets the
+    one copy that was stored first."""
+    key = (n_blocks, block, warp_size)
+    with _GEOM_LOCK:
+        tables = _GEOM_TABLES.get(key)
+    if tables is not None:
+        return tables
+    tables = _build_geometry(n_blocks, block, warp_size)
+    with _GEOM_LOCK:
+        stored = _GEOM_TABLES.setdefault(key, tables)
+        if stored is tables:
+            lanes = sum(t[0].size for t in _GEOM_TABLES.values())
+            while lanes > _GEOM_TABLE_LANES and len(_GEOM_TABLES) > 1:
+                oldest = next(iter(_GEOM_TABLES))
+                lanes -= _GEOM_TABLES.pop(oldest)[0].size
+    return stored
+
+
+def _clear_geometry() -> None:
+    """Drop the shared geometry tables (``tracing.clear_trace_cache``)."""
+    with _GEOM_LOCK:
+        _GEOM_TABLES.clear()
 
 
 class _LazyCtaid:
@@ -322,14 +388,16 @@ class KernelExecutor:
             -(-self._shared_bytes // _SHARED_ROW_ALIGN) * _SHARED_ROW_ALIGN
         )
         self._shared_buf: np.ndarray | None = None
-        # Batch-geometry caches: full batches keyed by (first_block,
-        # n_blocks, grid, block); the shape-only part (everything except
-        # ctaid) keyed by (n_blocks, block) so only ctaid is recomputed
-        # when a launch walks the grid.
+        # Full batches keyed by (first_block, n_blocks, grid, block);
+        # a miss takes the shape-only tables from the process-wide
+        # geometry cache, so only ctaid is new when a launch walks the
+        # grid.
         self._batch_cache: dict[tuple, _Batch] = {}
-        self._shape_cache: dict[tuple, tuple] = {}
         self.geom_cache_hits = 0
         self.geom_cache_misses = 0
+        #: The trace key's kernel fingerprint, set by the first traced
+        #: launch (``tracing.lookup``); the kernel is never mutated.
+        self.trace_fingerprint: str | None = None
 
     # -- public API -----------------------------------------------------------
 
@@ -430,38 +498,10 @@ class KernelExecutor:
             return cached
         self.geom_cache_misses += 1
 
-        bx, by, bz = block
-        gx, gy, _gz = grid
-        block_threads = bx * by * bz
+        block_threads = block[0] * block[1] * block[2]
         lanes = n_blocks * block_threads
-
-        shape_key = (n_blocks, block)
-        shape = self._shape_cache.get(shape_key)
-        if shape is None:
-            lin = np.arange(lanes, dtype=np.int64)
-            block_lin = lin % block_threads
-            block_row = lin // block_threads
-            tid_x = (block_lin % bx).astype(np.uint32)
-            tid_y = ((block_lin // bx) % by).astype(np.uint32)
-            tid_z = (block_lin // (bx * by)).astype(np.uint32)
-            # Warp geometry: warps never span blocks; the last warp of a
-            # block may be partial.
-            warp_in_block = block_lin // self.warp_size
-            warp_start_in_block = warp_in_block * self.warp_size
-            batch_block_start = lin - block_lin
-            warp_base = batch_block_start + warp_start_in_block
-            warp_len = np.minimum(
-                self.warp_size, block_threads - warp_start_in_block
-            ).astype(np.int64)
-            shape = (block_lin, block_row, (tid_x, tid_y, tid_z),
-                     warp_base, warp_len)
-            for arr in (block_lin, block_row, tid_x, tid_y, tid_z,
-                        warp_base, warp_len):
-                arr.flags.writeable = False
-            if len(self._shape_cache) >= _GEOM_CACHE_ENTRIES:
-                self._shape_cache.pop(next(iter(self._shape_cache)))
-            self._shape_cache[shape_key] = shape
-        block_lin, block_row, tid, warp_base, warp_len = shape
+        block_lin, block_row, tid, warp_base, warp_len = _geometry(
+            n_blocks, block, self.warp_size)
 
         batch = _Batch(
             lanes=lanes,

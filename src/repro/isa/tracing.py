@@ -155,9 +155,13 @@ def set_default_trace_mode(mode: bool | None) -> None:
 
 
 def clear_trace_cache() -> None:
-    """Drop all compiled programs and cached bailouts (test isolation)."""
+    """Drop all compiled programs and cached bailouts, and the
+    interpreter's shared launch-geometry tables (a cold start)."""
+    from repro.isa.interpreter import _clear_geometry
+
     with _CACHE_LOCK:
         _CACHE.clear()
+    _clear_geometry()
 
 
 def trace_cache_size() -> int:
@@ -188,8 +192,15 @@ def trace_key(kernel: KernelIR, warp_size: int,
               grid: tuple[int, int, int], block: tuple[int, int, int],
               blocks_per_batch: int) -> str:
     """Content-addressed key of one (kernel, geometry, batch width)."""
+    return _shape_key(kernel_fingerprint(kernel), warp_size, grid, block,
+                      blocks_per_batch)
+
+
+def _shape_key(fingerprint: str, warp_size: int,
+               grid: tuple[int, int, int], block: tuple[int, int, int],
+               blocks_per_batch: int) -> str:
     h = hashlib.sha256()
-    h.update(kernel_fingerprint(kernel).encode())
+    h.update(fingerprint.encode())
     h.update(f"|warp={warp_size}|grid={grid}|block={block}"
              f"|bpb={blocks_per_batch}".encode())
     return h.hexdigest()
@@ -218,7 +229,8 @@ def lookup(executor, grid: tuple[int, int, int], block: tuple[int, int, int],
     Returns ``None`` (after recording the bailout) when the kernel can't
     be traced; the caller falls back to the batched interpreter.  Cache
     outcomes (hit/miss/bailout + reason) flow into
-    ``interpreter_totals().trace``.
+    ``interpreter_totals().trace``.  The kernel's fingerprint is hashed
+    on the executor's first lookup and kept on the executor.
 
     ``validate=True`` additionally runs the tracesan translation
     validator (:func:`repro.analysis.tracesan.validate_program`) over the
@@ -226,8 +238,12 @@ def lookup(executor, grid: tuple[int, int, int], block: tuple[int, int, int],
     program's ``verdict`` field — once per cached program, purely static,
     never executing the kernel.
     """
-    key = trace_key(executor.kernel, executor.warp_size, grid, block,
-                    blocks_per_batch)
+    fingerprint = executor.trace_fingerprint
+    if fingerprint is None:
+        fingerprint = kernel_fingerprint(executor.kernel)
+        executor.trace_fingerprint = fingerprint
+    key = _shape_key(fingerprint, executor.warp_size, grid, block,
+                     blocks_per_batch)
     with _CACHE_LOCK:
         entry = _CACHE.get(key)
     if entry is None:

@@ -129,6 +129,9 @@ def _intrinsics(ctx: _ThreadCtx) -> dict:
         "atomic_max": _atomic(np.maximum),
         "atomic_exch": _atomic(lambda a, b: b),
         "atomic_cas": atomic_cas,
+        # Submitted source is exec'd with empty builtins; the one
+        # builtin the DSL grammar allows is ``range`` (for loops).
+        "range": range,
         # math — the interpreter evaluates these through numpy, so the
         # reference must too (math.floor returns int; np.floor doesn't).
         "sqrt": np.sqrt, "rsqrt": lambda v: 1.0 / np.sqrt(v),

@@ -149,7 +149,8 @@ class MetricsRegistry:
 
     def snapshot(self) -> dict:
         """All service metrics plus the process-wide pipeline counters."""
-        from repro.compilers.toolchain import compile_cache_stats
+        from repro.compilers.toolchain import (compile_cache_stats,
+                                               stage_memo_stats)
         from repro.isa.interpreter import snapshot_interpreter_totals
 
         with self._lock:
@@ -157,6 +158,7 @@ class MetricsRegistry:
             gauges = dict(self._gauges)
             histograms = dict(self._histograms)
         cc = compile_cache_stats().snapshot()
+        stages = stage_memo_stats().snapshot()
         it = snapshot_interpreter_totals()
         return {
             "counters": {n: c.get() for n, c in sorted(counters.items())},
@@ -167,6 +169,8 @@ class MetricsRegistry:
                 "hits": cc.hits,
                 "misses": cc.misses,
                 "hit_rate": round(cc.hit_rate, 6),
+                "stage_hits": stages.hits,
+                "stage_misses": stages.misses,
             },
             "interpreter": {
                 "launches": it.launches,

@@ -181,3 +181,110 @@ def test_upload_download_property(count, offset_elems):
     mem.upload(a, data, byte_offset=offset_elems * 8)
     out = mem.download(a, np.float64, count, byte_offset=offset_elems * 8)
     np.testing.assert_array_equal(out, data)
+
+
+# -- validate's range fast path vs the per-lane check --------------------------
+
+
+def _per_lane_validate(mem, addrs, itemsize, write):
+    """``DeviceMemory.validate`` before its range fast path, kept as the
+    oracle: one ``searchsorted`` over every lane address."""
+    if addrs.size == 0:
+        return
+    starts, ends = mem._tables()
+    a = addrs.astype(np.int64, copy=False)
+    if starts.size == 0:
+        raise MemoryFaultError("device access with no live allocations")
+    slot = np.searchsorted(starts, a, side="right") - 1
+    bad = (slot < 0) | (a + itemsize > ends[np.maximum(slot, 0)])
+    if bad.any():
+        offender = int(a[bad][0])
+        kind = "write" if write else "read"
+        raise MemoryFaultError(
+            f"out-of-bounds device {kind} of {itemsize} B at {offender:#x} "
+            f"({int(bad.sum())} faulting lanes)"
+        )
+
+
+def _verdict(fn, *args):
+    try:
+        fn(*args)
+    except MemoryFaultError as exc:
+        return str(exc)
+    return None
+
+
+def _edge_memory():
+    """Allocations with a gap, an abutting pair and a freed hole.
+
+    ``a`` and ``b`` are full 256-byte granules, so ``b`` starts exactly
+    where ``a`` ends; ``c`` is freed; ``d`` leaves a gap after its
+    last byte (100 of 256 bytes used)."""
+    mem = DeviceMemory(1 << 14)
+    a = mem.alloc(256)
+    b = mem.alloc(512)
+    c = mem.alloc(256)
+    d = mem.alloc(100)
+    mem.free(c)
+    assert b.addr == a.end
+    return mem, (a, b, c, d)
+
+
+def test_validate_range_fast_path_matches_per_lane_check_on_edges():
+    mem, (a, b, c, d) = _edge_memory()
+    cases = [
+        [a.addr, a.end - 8],            # last valid element of a
+        [a.end - 8, a.end - 4],         # last valid byte, 8-byte item
+        [a.end - 4],                    # straddles into b (4 B past a)
+        [a.addr, b.end - 8],            # spans the abutting pair
+        [b.end - 8, b.end],             # one past the end of b
+        [d.end - 8],                    # last element of d
+        [d.end],                        # the gap after d's last byte
+        [c.addr, c.addr + 8],           # freed allocation
+        [a.addr, c.addr],               # live plus freed
+        [-8, a.addr],                   # negative int64
+        [1 << 63, a.addr],              # uint64 >= 2^63 (wraps negative)
+        [(1 << 64) - 8],                # -8 as uint64
+        [mem.buffer.size + 8],          # beyond the backing store
+    ]
+    for case in cases:
+        dtypes = [np.int64, np.uint64]
+        if min(case) < 0:
+            dtypes.remove(np.uint64)
+        if max(case) >= 1 << 63:
+            dtypes.remove(np.int64)
+        for dtype in dtypes:
+            addrs = np.array(case, dtype=dtype)
+            for itemsize in (1, 4, 8):
+                for write in (False, True):
+                    assert (_verdict(mem.validate, addrs, itemsize, write)
+                            == _verdict(_per_lane_validate, mem, addrs,
+                                        itemsize, write)), (case, itemsize)
+
+
+def test_validate_range_fast_path_matches_per_lane_check_randomized(rng):
+    mem, allocs = _edge_memory()
+    span = mem.buffer.size + 512
+    anchors = [x for al in allocs for x in (al.addr, al.end)]
+    for _ in range(400):
+        n = int(rng.integers(1, 64))
+        if rng.random() < 0.5:
+            # Clustered around one allocation edge: mostly legal runs.
+            base = int(rng.choice(anchors))
+            addrs = base + rng.integers(-48, 48, n)
+        else:
+            addrs = rng.integers(-64, span, n)
+        if rng.random() < 0.1:
+            addrs = addrs.astype(np.uint64)
+            addrs[int(rng.integers(0, n))] = np.uint64(1 << 63) + np.uint64(
+                int(rng.integers(0, 1 << 20)))
+        itemsize = int(rng.choice([1, 2, 4, 8]))
+        write = bool(rng.random() < 0.5)
+        assert (_verdict(mem.validate, addrs, itemsize, write)
+                == _verdict(_per_lane_validate, mem, addrs, itemsize, write))
+
+
+def test_validate_fast_path_keeps_the_method_identity():
+    """The trace tier recognises the allocator's hook by identity."""
+    mem = DeviceMemory(1 << 12)
+    assert mem.validate.__func__ is DeviceMemory.validate

@@ -159,3 +159,85 @@ def test_shared_rows_are_block_private(rng):
     assert stats.batches == 1  # all 8 blocks batched together
     got = mem[: 128 * 8].view(np.float64)
     np.testing.assert_array_equal(got, np.repeat(np.arange(8.0), 16))
+
+
+def test_geometry_tables_are_shared_across_executors(rng):
+    """Lane tables are process-wide per (n_blocks, block, warp_size)."""
+    from repro.isa import interpreter
+    from repro.isa.tracing import clear_trace_cache
+
+    clear_trace_cache()
+    ir, grid, block, args, image = _setup("reduce_sum", rng)
+    other = KERNEL_LIBRARY["stream_dot"].ir
+
+    def tables(kernel, warp_size):
+        ex = KernelExecutor(kernel, warp_size, image.copy())
+        batch = ex._make_batch(0, 4, grid + (1, 1), block + (1, 1))
+        return (batch.tid + (batch.block_linear, batch.block_row,
+                             batch.warp_base, batch.warp_len))
+
+    first = tables(ir, 32)
+    second = tables(other, 32)
+    assert all(a is b for a, b in zip(first, second))
+    assert not any(a.flags.writeable for a in first)
+    wide = tables(ir, 64)
+    assert not any(a is b for a, b in zip(first, wide))
+    assert (wide[-1] == 64).all() and (first[-1] == 32).all()
+    assert len(interpreter._GEOM_TABLES) == 2
+    clear_trace_cache()
+    assert interpreter._GEOM_TABLES == {}
+    assert not any(a is b for a, b in zip(first, tables(ir, 32)))
+
+
+def test_trace_fingerprint_is_computed_once_per_executor(rng, monkeypatch):
+    from repro.isa import tracing
+
+    calls = []
+    real = tracing.kernel_fingerprint
+
+    def counted(kernel):
+        calls.append(kernel.name)
+        return real(kernel)
+
+    monkeypatch.setattr(tracing, "kernel_fingerprint", counted)
+    ir, grid, block, args, image = _setup("stream_dot", rng)
+    ex = KernelExecutor(ir, 32, image.copy(), trace_mode=True)
+    for _ in range(3):
+        ex.launch(grid, block, args)
+    assert calls == ["stream_dot"]
+    KernelExecutor(ir, 32, image.copy(), trace_mode=True).launch(
+        grid, block, args)
+    assert calls == ["stream_dot"] * 2
+
+
+def test_geometry_tables_single_copy_under_contention():
+    """Threads building one shape at once all get the stored copy."""
+    import sys
+    import threading
+
+    from repro.isa import interpreter
+    from repro.isa.tracing import clear_trace_cache
+
+    clear_trace_cache()
+    n = 8
+    start = threading.Barrier(n)
+    got = [None] * n
+
+    def worker(i):
+        start.wait(timeout=10)
+        got[i] = interpreter._geometry(64, (256, 1, 1), 32)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,))
+                   for i in range(n)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(g is got[0] for g in got)
+    assert interpreter._GEOM_TABLES == {(64, (256, 1, 1), 32): got[0]}

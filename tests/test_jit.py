@@ -463,6 +463,46 @@ def test_submit_parity_across_transports(service, http_client):
     assert a.schema_version == b.schema_version
 
 
+#: The same kernel twice: a ``for ... in range`` loop and its ``while``
+#: spelling (the DSL lowers both to the same IR).
+RANGE_SRC = (
+    "def taps(n: i64, x: f64[:], out: f64[:]):\n"
+    "    i = gid(0)\n"
+    "    if i < n:\n"
+    "        s = 0.0\n"
+    "        for j in range(3):\n"
+    "            s = s + x[i] * f64(j)\n"
+    "        out[i] = s\n"
+)
+WHILE_SRC = (
+    "def taps(n: i64, x: f64[:], out: f64[:]):\n"
+    "    i = gid(0)\n"
+    "    if i < n:\n"
+    "        s = 0.0\n"
+    "        j = 0\n"
+    "        while j < 3:\n"
+    "            s = s + x[i] * f64(j)\n"
+    "            j = j + 1\n"
+    "        out[i] = s\n"
+)
+
+
+def test_submitted_range_loop_rates_like_while_loop(http_client):
+    """Submitted source runs with empty builtins; the reference executor
+    must still bind ``range``.  Each submission goes to a service that
+    has not seen the kernel, so none is served from the row cache."""
+    from repro.service import InProcessClient, MatrixService
+
+    by_while = InProcessClient(MatrixService(jobs=2)).submit_kernel(WHILE_SRC)
+    by_range = InProcessClient(MatrixService(jobs=2)).submit_kernel(RANGE_SRC)
+    by_http = http_client.submit_kernel(RANGE_SRC)
+    assert by_range.fingerprint == by_while.fingerprint
+    for row in (by_range, by_http):
+        assert row.vendors == by_while.vendors
+        assert all(cell["status"] == "ok"
+                   for vendor in row.vendors for cell in vendor["routes"])
+
+
 def test_submit_row_is_cached_by_fingerprint(service):
     from repro.service import InProcessClient
 

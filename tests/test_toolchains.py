@@ -311,3 +311,216 @@ def test_compile_distinct_units_do_not_serialize_counters():
     stats = nvcc.cache_stats.snapshot()
     assert stats.misses == 2
     assert stats.hits == 0
+
+
+# -- the kernel-content stage memo under the compile cache -------------------
+
+
+def _count_calls(monkeypatch, module, name):
+    """Patch ``module.name`` with a wrapper that records each call."""
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+#: One kernel compiled by six toolchains through four models to all
+#: three ISAs: eight distinct compile keys, one kernel content.
+_ROUTES = (
+    ("nvcc", Model.CUDA, ISA.PTX),
+    ("hipcc", Model.HIP, ISA.AMDGCN),
+    ("hipcc", Model.HIP, ISA.PTX),
+    ("dpcpp", Model.SYCL, ISA.SPIRV),
+    ("dpcpp", Model.SYCL, ISA.PTX),
+    ("opensycl", Model.SYCL, ISA.AMDGCN),
+    ("clang", Model.OPENMP, ISA.PTX),
+    ("aomp", Model.OPENMP, ISA.AMDGCN),
+)
+
+
+def test_stages_run_once_per_kernel_content(monkeypatch):
+    import repro.compilers.toolchain as tc_mod
+    from repro.compilers.toolchain import (clear_compile_cache,
+                                           compile_cache_stats,
+                                           stage_memo_stats)
+
+    clear_compile_cache()
+    optimized = _count_calls(monkeypatch, tc_mod, "optimize_module")
+    lowered = _count_calls(monkeypatch, tc_mod, "legalize")
+    results = []
+    for i, (name, model, isa) in enumerate(_ROUTES):
+        tu = TranslationUnit(f"unit{i}", model, CPP)
+        tu.add(KL.axpy)
+        tc = get_toolchain(name)
+        result = tc.compile(tu, isa)
+        results.append(result)
+        # What belongs to the unit and toolchain is the unit's own.
+        assert result.binary.name == f"unit{i}"
+        assert result.binary.producer == f"{tc.name}-{tc.version}"
+        assert result.toolchain == name
+        assert result.target is isa
+    assert len(optimized) == 1
+    assert len(lowered) == len({isa for _, _, isa in _ROUTES}) == 3
+    assert compile_cache_stats().misses == len(_ROUTES)
+    assert stage_memo_stats().snapshot().misses == 1 + 3
+    by_isa = {}
+    for result in results:
+        by_isa.setdefault(result.target, []).append(result)
+    for same_isa in by_isa.values():
+        first = same_isa[0]
+        for other in same_isa[1:]:
+            # Header line names unit and producer; the code is identical
+            # and shared by reference.
+            assert (other.disassemble().split("\n", 1)[1]
+                    == first.disassemble().split("\n", 1)[1])
+            assert other.binary.kernel("axpy") is first.binary.kernel("axpy")
+            assert other.binary.module is not first.binary.module
+            assert other.pass_report == first.pass_report
+            assert other.pass_report is not first.pass_report
+
+
+def test_kernel_content_digest_leaves_out_unit_metadata():
+    """The stage key's digest follows the kernels alone: model, language,
+    unit features and unit name change only the fingerprint."""
+    library = [getattr(KL, n) for n in ("axpy", "fill", "reduce_sum")]
+    units = [_tu(Model.CUDA, CPP, kernelfn=k) for k in library]
+    multi = TranslationUnit("m", Model.OPENMP, Language.FORTRAN)
+    for k in library:
+        multi.add(k)
+    units.append(multi)
+    assert len({tu.digests()[1] for tu in units}) == len(units)
+    other = _tu(Model.HIP, F, features=("x",))
+    other.name = "renamed"
+    base = _tu(Model.CUDA, CPP)
+    assert other.digests()[1] == base.digests()[1]
+    assert other.digests()[0] != base.digests()[0]
+
+
+def test_clear_compile_cache_empties_the_stage_memo(monkeypatch):
+    import repro.compilers.toolchain as tc_mod
+    from repro.compilers.toolchain import clear_compile_cache, stage_memo_stats
+
+    clear_compile_cache()
+    optimized = _count_calls(monkeypatch, tc_mod, "optimize_module")
+    get_toolchain("nvcc").compile(_tu(Model.CUDA, CPP), ISA.PTX)
+    assert len(optimized) == 1
+    clear_compile_cache()
+    assert stage_memo_stats().snapshot().total == 0
+    # A different toolchain, so only the stage memo could have served it.
+    get_toolchain("hipcc").compile(_tu(Model.HIP, CPP), ISA.PTX)
+    assert len(optimized) == 2
+
+
+def test_translated_and_native_units_differ_only_by_tv_findings(monkeypatch):
+    from repro.compilers import passes
+    from repro.compilers.toolchain import clear_compile_cache
+    from repro.translate.hipify import Hipify
+
+    clear_compile_cache()
+    sanitized = _count_calls(monkeypatch, passes, "sanitize_module")
+    hipcc = get_toolchain("hipcc")
+    out = Hipify().translate_unit(_tu(Model.CUDA, CPP, kernelfn=KL.reduce_sum))
+    out.features.add("hip:graphs")  # derives from no source tag: TV02
+    translated = hipcc.compile(out, ISA.AMDGCN, sanitize=True)
+    native = hipcc.compile(_tu(Model.HIP, CPP, kernelfn=KL.reduce_sum),
+                           ISA.AMDGCN, sanitize=True)
+    other = hipcc.compile(_tu(Model.HIP, CPP, kernelfn=KL.reduce_sum),
+                          ISA.PTX, sanitize=True)
+    assert len(sanitized) == 1
+    ours = list(translated.diagnostics.diagnostics)
+    theirs = list(native.diagnostics.diagnostics)
+    tv = ours[len(theirs):]
+    assert theirs and ours[:len(theirs)] == theirs
+    assert tv and all(d.code.startswith("TV") for d in tv)
+    assert other.diagnostics.diagnostics == theirs
+    # Each result owns its report: appending to one changes no other.
+    native.diagnostics.extend(tv)
+    assert native.diagnostics.diagnostics == ours
+    assert translated.diagnostics.diagnostics == ours
+    assert other.diagnostics.diagnostics == theirs
+    translated.diagnostics.extend(tv)
+    assert native.diagnostics.diagnostics == ours
+
+
+def test_legalization_error_is_raised_on_every_attempt(monkeypatch):
+    import repro.compilers.toolchain as tc_mod
+    from repro.compilers.toolchain import clear_compile_cache
+    from repro.errors import LegalizationError
+    from repro.frontends.kernel_dsl import KernelFn
+    from repro.isa import IRBuilder, dtypes
+
+    clear_compile_cache()
+    lowered = _count_calls(monkeypatch, tc_mod, "legalize")
+    b = IRBuilder("big_tile")
+    b.shared_alloc(dtypes.F64, 12 * 1024)  # 96 KB: over AMDGCN's 64 KB LDS
+    tu = TranslationUnit("t", Model.HIP, CPP)
+    tu.add(KernelFn("big_tile", b.build(), (), (), None))
+    hipcc = get_toolchain("hipcc")
+    for attempt in (1, 2, 3):
+        with pytest.raises(LegalizationError, match="shared"):
+            hipcc.compile(tu, ISA.AMDGCN)
+        assert len(lowered) == attempt
+    assert hipcc.cache_stats.snapshot().misses == 3
+    # The same kernel still lowers where it fits.
+    assert "big_tile" in hipcc.compile(tu, ISA.PTX).binary
+
+
+def test_stage_memo_single_flight_across_toolchains(monkeypatch):
+    """Eight distinct compile keys racing on one kernel content do one
+    optimize: followers wait on the stage key's flight, then hit."""
+    import sys
+    import threading
+    import time
+
+    import repro.compilers.toolchain as tc_mod
+    from repro.compilers.toolchain import clear_compile_cache, stage_memo_stats
+
+    clear_compile_cache()
+    real_optimize = tc_mod.optimize_module
+    entered = threading.Event()
+    release = threading.Event()
+    calls = []
+
+    def blocking_optimize(module, level):
+        calls.append(module.name)
+        entered.set()
+        assert release.wait(timeout=10), "test never released the leader"
+        return real_optimize(module, level=level)
+
+    monkeypatch.setattr(tc_mod, "optimize_module", blocking_optimize)
+    lowered = _count_calls(monkeypatch, tc_mod, "legalize")
+    results = [None] * len(_ROUTES)
+
+    def worker(i):
+        name, model, isa = _ROUTES[i]
+        tu = TranslationUnit(f"unit{i}", model, CPP)
+        tu.add(KL.axpy)
+        results[i] = get_toolchain(name).compile(tu, isa)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,))
+                   for i in range(len(_ROUTES))]
+        for t in threads:
+            t.start()
+        assert entered.wait(timeout=10)
+        time.sleep(0.05)  # let the followers reach the stage flight lock
+        release.set()
+        for t in threads:
+            t.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(calls) == 1
+    assert len(lowered) == 3
+    assert stage_memo_stats().snapshot().misses == 4
+    kernels = {r.target: r.binary.kernel("axpy") for r in results}
+    assert all(r.binary.kernel("axpy") is kernels[r.target] for r in results)
+    assert [r.binary.name for r in results] == [
+        f"unit{i}" for i in range(len(_ROUTES))]
