@@ -97,14 +97,7 @@ class TranslationUnit:
             unit.update(f"|{tag}".encode())
         content = hashlib.sha256()
         for k in self.kernels:
-            ir = k.ir
-            params = ",".join(
-                f"{p.name}:{'*' if p.is_pointer else ''}{p.dtype.name}"
-                for p in ir.params
-            )
-            parts = [f"#{ir.name}({params})", repr(ir.body)]
-            parts += [f"+{tag}" for tag in sorted(ir.features)]
-            for part in parts:
+            for part in k.ir.content_parts():
                 data = part.encode()
                 unit.update(data)
                 content.update(data)

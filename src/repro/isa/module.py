@@ -75,6 +75,22 @@ class KernelIR:
         """Total instructions, including nested bodies."""
         return sum(1 for _ in walk(self.body))
 
+    def content_parts(self) -> list[str]:
+        """What a content hash of this kernel covers, in hashing order.
+
+        ``#name(params)``, the body's repr, then ``+tag`` per sorted
+        feature.  Instruction and operand dataclasses have content-based
+        reprs, so the body's repr is a stable structural fingerprint.
+        The compile cache, the trace cache and the store fingerprints
+        all hash these parts, so a kernel edit reaches every one.
+        """
+        params = ",".join(
+            f"{p.name}:{'*' if p.is_pointer else ''}{p.dtype.name}"
+            for p in self.params
+        )
+        return [f"#{self.name}({params})", repr(self.body),
+                *(f"+{tag}" for tag in sorted(self.features))]
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         sig = ", ".join(
             f"{p.name}:{'*' if p.is_pointer else ''}{p.dtype.name}" for p in self.params

@@ -170,21 +170,12 @@ def trace_cache_size() -> int:
 
 
 def kernel_fingerprint(kernel: KernelIR) -> str:
-    """Structural content hash of one kernel, compile-cache style.
-
-    Mirrors the store's ``_kernel_library_fingerprint`` idiom: signature,
-    instruction/operand reprs, and feature tags.
-    """
+    """Structural content hash of one kernel, compile-cache style:
+    the trace schema, then :meth:`KernelIR.content_parts`."""
     h = hashlib.sha256()
     h.update(f"trace-schema={TRACE_SCHEMA}".encode())
-    params = ",".join(
-        f"{p.name}:{'*' if p.is_pointer else ''}{p.dtype.name}"
-        for p in kernel.params
-    )
-    h.update(f"#{kernel.name}({params})".encode())
-    h.update(repr(kernel.body).encode())
-    for tag in sorted(kernel.features):
-        h.update(f"+{tag}".encode())
+    for part in kernel.content_parts():
+        h.update(part.encode())
     return h.hexdigest()
 
 

@@ -1,9 +1,9 @@
 """Content-addressed persistent store for perf-matrix cells.
 
-Same design as :class:`repro.service.store.ResultStore` (atomic writes,
-filename-embedded key, corrupt entry = miss) under a ``perf/``
-subdirectory, so one ``--store DIR`` serves both the compatibility
-cells and the perf cells.
+:class:`PerfStore` is a :class:`repro.service.store.ContentStore` (atomic
+writes, filename-embedded key, corrupt entry = miss, lookups never
+write) under a ``perf/`` subdirectory, so one ``--store DIR`` serves
+both the compatibility cells and the perf cells.
 
 The perf key extends the environment fingerprint with everything a
 *simulated timing* can additionally observe:
@@ -24,8 +24,6 @@ cell is bit-identical to the evaluated one).
 from __future__ import annotations
 
 import hashlib
-import json
-import logging
 import os
 from pathlib import Path
 
@@ -34,11 +32,13 @@ from repro.core.routes import routes_for
 from repro.enums import VENDOR_ORDER, Language, Model, Vendor
 from repro.gpu.perfmodel import perf_constants
 from repro.gpu.specs import default_spec
-from repro.perfport.matrix import Cell, PerfCell, PerfParams, RoutePerf
-from repro.service.store import ResultStore, StoreStats, environment_fingerprint
+from repro.perfport.matrix import PerfCell, PerfParams, RoutePerf
+from repro.service.store import (
+    ContentStore,
+    StoreIntegrityError,
+    environment_fingerprint,
+)
 from repro.workloads.babelstream import STREAM_KERNELS
-
-_log = logging.getLogger(__name__)
 
 #: Bump when the perf on-disk layout or serialization schema changes.
 #: v2: route entries carry the kernelsan rollup (lint_errors,
@@ -91,10 +91,6 @@ def perf_cell_to_dict(cell: PerfCell) -> dict:
     }
 
 
-class PerfStoreIntegrityError(Exception):
-    """A stored perf payload does not match the live registries."""
-
-
 def perf_cell_from_dict(payload: dict) -> PerfCell:
     """Reconstruct a :class:`PerfCell` bit-identical to the original."""
     vendor = Vendor(payload["vendor"])
@@ -104,7 +100,7 @@ def perf_cell_from_dict(payload: dict) -> PerfCell:
     routes: list[RoutePerf] = []
     for entry in payload["routes"]:
         if entry["route_id"] not in known:
-            raise PerfStoreIntegrityError(
+            raise StoreIntegrityError(
                 f"stored route '{entry['route_id']}' is not registered for "
                 f"{vendor.value}/{model.value}/{language.value}")
         routes.append(RoutePerf(
@@ -128,86 +124,25 @@ def perf_cell_from_dict(payload: dict) -> PerfCell:
 # -- the store ---------------------------------------------------------------
 
 
-class PerfStore:
-    """On-disk perf-cell store rooted at ``<root>/perf/``.
+class PerfStore(ContentStore):
+    """The perf cells' store at ``<root>/perf/``, keyed by
+    :func:`perf_fingerprint` of the workload parameters."""
 
-    Layout::
-
-        <root>/perf/
-          meta.json                    # schema + current perf fingerprint
-          cells/<v>_<m>_<l>.<key12>.json
-    """
+    label = "perf-store"
 
     def __init__(self, root: str | os.PathLike,
                  params: PerfParams = PerfParams(),
                  thresholds: Thresholds = DEFAULT_THRESHOLDS,
                  metrics=None):
-        self.root = Path(root) / "perf"
+        super().__init__(Path(root) / "perf", thresholds, metrics)
         self.params = params
-        self.thresholds = thresholds
-        self.stats = StoreStats()
-        #: Optional :class:`~repro.service.metrics.MetricsRegistry`;
-        #: corrupt entries are counted there when present.
-        self.metrics = metrics
-        self._fingerprint: str | None = None
-        (self.root / "cells").mkdir(parents=True, exist_ok=True)
 
-    def _corrupt(self, path: Path, exc: Exception) -> None:
-        """A stored entry exists but cannot be decoded: warn, count, miss."""
-        self.stats._inc("invalid")
-        _log.warning(
-            "corrupt perf-store entry treated as miss: path=%s error=%s: %s",
-            path, type(exc).__name__, exc)
-        if self.metrics is not None:
-            self.metrics.counter("perf_store_corrupt_entries").inc()
+    def _compute_fingerprint(self) -> str:
+        return perf_fingerprint(self.params, self.thresholds)
 
-    @property
-    def fingerprint(self) -> str:
-        if self._fingerprint is None:
-            self._fingerprint = perf_fingerprint(self.params, self.thresholds)
-            ResultStore._atomic_write(
-                self.root / "meta.json",
-                json.dumps({"schema": PERF_SCHEMA,
-                            "perf_fingerprint": self._fingerprint},
-                           indent=2) + "\n")
-        return self._fingerprint
+    def _decode(self, payload) -> PerfCell:
+        return perf_cell_from_dict(payload)
 
-    def _path(self, cell: Cell) -> Path:
-        vendor, model, language = cell
-        h = hashlib.sha256()
-        h.update(self.fingerprint.encode())
-        h.update(f"|{vendor.value}|{model.value}|{language.value}".encode())
-        slug = f"{vendor.value}_{model.value}_{language.value}".lower()
-        slug = slug.replace("++", "pp").replace("/", "-").replace(" ", "-")
-        return self.root / "cells" / f"{slug}.{h.hexdigest()[:12]}.json"
-
-    def load(self, cell: Cell) -> PerfCell | None:
-        """The stored perf cell for the *current* fingerprint, or None."""
-        path = self._path(cell)
-        try:
-            payload = json.loads(path.read_text())
-        except FileNotFoundError:
-            self.stats._inc("misses")
-            return None
-        except (OSError, json.JSONDecodeError) as exc:
-            self._corrupt(path, exc)
-            return None
-        try:
-            result = perf_cell_from_dict(payload)
-        except (PerfStoreIntegrityError, KeyError, ValueError,
-                TypeError) as exc:
-            self._corrupt(path, exc)
-            return None
-        self.stats._inc("hits")
-        return result
-
-    def save(self, cell: PerfCell) -> Path:
-        """Persist one perf cell (atomic write)."""
-        path = self._path((cell.vendor, cell.model, cell.language))
-        ResultStore._atomic_write(
-            path, json.dumps(perf_cell_to_dict(cell), indent=1) + "\n")
-        self.stats._inc("writes")
-        return path
-
-    def entries(self) -> list[Path]:
-        return sorted((self.root / "cells").glob("*.json"))
+    # Bound in the class body: perfbench's tracer wraps them via __dict__.
+    load = ContentStore.load
+    save = ContentStore.save

@@ -10,7 +10,8 @@ CPU work) or ``"process"`` (a fork-context ``ProcessPoolExecutor`` that
 uses N cores; workers inherit the coordinator's warm compile caches).
 
 A task returns the serialized cell; the coordinator decodes it, saves
-it to the store and assembles the matrix in ``all_cells()`` order.
+the serialized form to the store as is and assembles the matrix in
+``all_cells()`` order.
 Probes are pairwise independent (each builds a fresh runtime) and
 devices are per thread (:func:`_device`), so the matrix is
 **bit-identical to the sequential build at every worker count on both
@@ -222,10 +223,10 @@ class JobEngine:
     def build(self) -> BuildReport:
         """Evaluate (or load) every cell and assemble the matrix.
 
-        Stored cells load first; the missing ones run as tasks and are
-        saved here, on the coordinator, as they arrive; the matrix is
-        assembled in ``all_cells()`` order.  A build served entirely by
-        the store starts no executor.
+        Stored cells load first; the missing ones run as tasks, whose
+        serialized cells are saved here, on the coordinator, as they
+        arrive; the matrix is assembled in ``all_cells()`` order.  A
+        build served entirely by the store starts no executor.
         """
         start = time.monotonic()
         p = self.prefix
@@ -245,10 +246,10 @@ class JobEngine:
 
         def done(i: int, payload: tuple[dict, int]) -> None:
             serialized, work = payload
-            result = cells[missing[i]] = self._decode(serialized)
+            cells[missing[i]] = self._decode(serialized)
             self.metrics.counter(self.work_counter).inc(work)
             if store is not None:
-                store.save(result)
+                store.save(missing[i], serialized)
                 self.metrics.counter(p + "store_writes").inc()
 
         self._evaluate(missing, done)

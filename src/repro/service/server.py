@@ -161,7 +161,7 @@ class MatrixService:
         metrics: MetricsRegistry | None = None,
         perf_params: "PerfParams | None" = None,
     ):
-        from repro.perfport.matrix import PerfParams
+        from repro.perfport import PerfParams, PerfStore
 
         self.jobs = resolve_jobs(jobs)
         self.execution = resolve_execution(execution)
@@ -172,11 +172,15 @@ class MatrixService:
         self.store = store
         self.perf_params = (perf_params if perf_params is not None
                             else PerfParams())
+        #: One perf store for the service's lifetime, over the same root.
+        self.perf_store = (
+            PerfStore(store.root, params=self.perf_params,
+                      thresholds=store.thresholds, metrics=self.metrics)
+            if store is not None else None)
         self._report: BuildReport | None = None
         self._perf_report = None
         self._static_perf = None
-        self._perf_lint: dict | None = None
-        self._trace_lint: dict | None = None
+        self._lints: dict[str, dict] = {}
         self._build_lock = threading.Lock()
         self._kernel_rows: dict[str, dict] = {}
         self._kernel_lock = threading.Lock()
@@ -195,19 +199,13 @@ class MatrixService:
     def ensure_perf_built(self):
         """Build (or load) the perf matrix once; later calls are free."""
         from repro.perfport.scheduler import PerfScheduler
-        from repro.perfport.store import PerfStore
 
         compat = self.ensure_built().matrix
         with self._build_lock:
             if self._perf_report is None:
-                perf_store = (
-                    PerfStore(self.store.root, params=self.perf_params,
-                              thresholds=self.store.thresholds,
-                              metrics=self.metrics)
-                    if self.store is not None else None)
                 self._perf_report = PerfScheduler(
                     self.jobs, compat=compat, execution=self.execution,
-                    params=self.perf_params, store=perf_store,
+                    params=self.perf_params, store=self.perf_store,
                     metrics=self.metrics,
                 ).build()
             return self._perf_report
@@ -312,11 +310,26 @@ class MatrixService:
             }
         return {"scope": scope, "recommendations": [str(r) for r in recs]}
 
+    def _lint(self, family: str, build) -> dict:
+        """One lint family's reply, built once: ``build()`` returns
+        ``(report, summary)``; a summary becomes ``<family>_*`` gauges and
+        the reply's ``agreement``.  Build what ``build`` reads first:
+        ``_build_lock`` is not re-entrant."""
+        with self._build_lock:
+            if family not in self._lints:
+                report, summary = build()
+                payload = json.loads(report.to_json())
+                if summary is not None:
+                    for name, value in summary.items():
+                        self.metrics.gauge(f"{family}_{name}").set(value)
+                    payload["agreement"] = summary
+                self._lints[family] = payload
+            return self._lints[family]
+
     def lint_report(self) -> dict:
         from repro.analysis.routes_evidence import cross_check
 
-        report = cross_check()
-        return json.loads(report.to_json())
+        return self._lint("routes", lambda: (cross_check(), None))
 
     def snapshot_metrics(self) -> dict:
         from repro.workloads.babelstream import stream_totals
@@ -324,8 +337,8 @@ class MatrixService:
         snap = self.metrics.snapshot()
         if self.store is not None:
             snap["store"] = self.store.stats.as_dict()
-            if self._perf_report is not None and self._perf_report.store:
-                snap["perf_store"] = self._perf_report.store.stats.as_dict()
+            if self._perf_report is not None:
+                snap["perf_store"] = self.perf_store.stats.as_dict()
         snap["stream"] = stream_totals()
         snap["execution"] = self.execution_info().as_dict()
         snap["service"] = {
@@ -344,18 +357,6 @@ class MatrixService:
 
     # -- operational endpoints (/admin/*) ----------------------------------
 
-    def _perf_store(self):
-        """The perf store over the shared root (built report's if any)."""
-        from repro.perfport.store import PerfStore
-
-        if self._perf_report is not None and self._perf_report.store:
-            return self._perf_report.store
-        if self.store is None:
-            return None
-        return PerfStore(self.store.root, params=self.perf_params,
-                         thresholds=self.store.thresholds,
-                         metrics=self.metrics)
-
     @staticmethod
     def _store_view(store) -> dict:
         if store is None:
@@ -373,7 +374,7 @@ class MatrixService:
         return {
             "read_only": self.read_only,
             "matrix": self._store_view(self.store),
-            "perf": self._store_view(self._perf_store()),
+            "perf": self._store_view(self.perf_store),
         }
 
     def clear_stores(self) -> dict:
@@ -389,7 +390,7 @@ class MatrixService:
                 "(started with --read-only)")
         removed = {"matrix": 0, "perf": 0}
         for name, store in (("matrix", self.store),
-                            ("perf", self._perf_store())):
+                            ("perf", self.perf_store)):
             if store is None:
                 continue
             for path in store.entries():
@@ -539,17 +540,13 @@ class MatrixService:
 
         dynamic = self.perf
         static = self.ensure_static_perf_built()
-        with self._build_lock:
-            if self._perf_lint is None:
-                report = library_cost_report()
-                report.extend(cross_check_perf(static, dynamic).diagnostics)
-                summary = perf_agreement_summary(report)
-                for name, value in summary.items():
-                    self.metrics.gauge(f"perfstat_{name}").set(value)
-                payload = json.loads(report.to_json())
-                payload["agreement"] = summary
-                self._perf_lint = payload
-            return self._perf_lint
+
+        def build():
+            report = library_cost_report()
+            report.extend(cross_check_perf(static, dynamic).diagnostics)
+            return report, perf_agreement_summary(report)
+
+        return self._lint("perfstat", build)
 
     def lint_traces_report(self) -> dict:
         """tracesan's static trace-validation sweep over the library.
@@ -567,17 +564,12 @@ class MatrixService:
             validate_library,
         )
 
-        with self._build_lock:
-            if self._trace_lint is None:
-                results = validate_library()
-                report = traces_lint_report(results)
-                summary = trace_agreement_summary(results)
-                for name, value in summary.items():
-                    self.metrics.gauge(f"tracesan_{name}").set(value)
-                payload = json.loads(report.to_json())
-                payload["agreement"] = summary
-                self._trace_lint = payload
-            return self._trace_lint
+        def build():
+            results = validate_library()
+            return (traces_lint_report(results),
+                    trace_agreement_summary(results))
+
+        return self._lint("tracesan", build)
 
 
     # -- kernel submission (the bring-your-own-kernel endpoint) ------------

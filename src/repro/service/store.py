@@ -20,20 +20,23 @@ cell's evaluation can observe:
 * the **route registry** — route ids, provenance (provider, mechanism,
   maturity), via-chains, and probe-suite bindings;
 * the **probe suites** — every probe label and method, per suite;
-* the **kernel library** — per-kernel content fingerprints reusing the
-  same structural-repr hashing as ``TranslationUnit.fingerprint`` (the
-  PR-2 compile-cache machinery), so editing a kernel invalidates
-  exactly the cells whose probes execute it (conservatively: all, since
-  suites share the library);
+* the **kernel library** — each kernel's
+  :meth:`~repro.isa.module.KernelIR.content_parts`, the bytes the
+  compile cache hashes too, so editing a kernel invalidates exactly the
+  cells whose probes execute it (conservatively: all, since suites
+  share the library);
 * the **classifier thresholds** in force.
 
 Change any of these and every lookup misses (the filename embeds the
 key), so a warm restart falls back to re-deriving; leave them alone and
 a warm restart serves all 51 cells with **zero probe executions**.
 
-Writes are atomic (temp file + ``os.replace`` in the same directory)
-and safe under concurrent writers; payloads are plain JSON for
-inspectability and CI artifact upload.
+:class:`ContentStore` is the one store: :class:`ResultStore` here and
+:class:`repro.perfport.store.PerfStore` bind only a directory, a
+fingerprint, a decoder and a label.  Lookups never write.  Writes are
+atomic (temp file + ``os.replace`` in the same directory) and safe
+under concurrent writers; payloads are plain JSON for inspectability
+and CI artifact upload.
 """
 
 from __future__ import annotations
@@ -51,9 +54,7 @@ from repro.core.classifier import DEFAULT_THRESHOLDS, Thresholds, classify_route
 from repro.core.matrix import CellResult, RouteResult
 from repro.core.probes import PROBE_SUITES, Probe, ProbeOutcome, SuiteResult
 from repro.core.routes import Route, all_routes, routes_for
-from repro.enums import Language, Model, Vendor
-
-_log = logging.getLogger(__name__)
+from repro.enums import Language, Model, Vendor, all_cells
 
 #: Bump when the on-disk layout or serialization schema changes.
 STORE_SCHEMA = 1
@@ -61,30 +62,10 @@ STORE_SCHEMA = 1
 Cell = tuple[Vendor, Model, Language]
 
 
-def _kernel_library_fingerprint(h: "hashlib._Hash") -> None:
-    """Feed per-kernel structural fingerprints into ``h``.
-
-    Mirrors :meth:`repro.frontends.source.TranslationUnit.fingerprint`:
-    instruction/operand reprs are content-based, so the repr of a body
-    is a stable structural hash of the code the probes will compile.
-    """
-    from repro.kernels import KERNEL_LIBRARY
-
-    for name in sorted(KERNEL_LIBRARY):
-        ir = KERNEL_LIBRARY[name].ir
-        params = ",".join(
-            f"{p.name}:{'*' if p.is_pointer else ''}{p.dtype.name}"
-            for p in ir.params
-        )
-        h.update(f"#{ir.name}({params})".encode())
-        h.update(repr(ir.body).encode())
-        for tag in sorted(ir.features):
-            h.update(f"+{tag}".encode())
-
-
 def environment_fingerprint(thresholds: Thresholds = DEFAULT_THRESHOLDS) -> str:
     """Hash of every input a cell evaluation can observe (see module doc)."""
     from repro.compilers.registry import all_toolchains
+    from repro.kernels import KERNEL_LIBRARY
 
     h = hashlib.sha256()
     h.update(f"schema={STORE_SCHEMA}".encode())
@@ -113,7 +94,9 @@ def environment_fingerprint(thresholds: Thresholds = DEFAULT_THRESHOLDS) -> str:
                 f"{','.join(sorted(cap.features))};{cap.since};"
                 f"{cap.flag}".encode()
             )
-    _kernel_library_fingerprint(h)
+    for name in sorted(KERNEL_LIBRARY):
+        for part in KERNEL_LIBRARY[name].ir.content_parts():
+            h.update(part.encode())
     return h.hexdigest()
 
 
@@ -216,7 +199,7 @@ def cell_from_dict(payload: dict,
 
 @dataclass
 class StoreStats:
-    """Lookup/write counters for one :class:`ResultStore` instance."""
+    """Lookup/write counters for one store instance."""
 
     hits: int = 0
     misses: int = 0
@@ -235,24 +218,42 @@ class StoreStats:
                     "writes": self.writes, "invalid": self.invalid}
 
 
-class ResultStore:
-    """Content-addressed on-disk cell store (see module docstring).
+def _atomic_write(path: Path, text: str) -> None:
+    """Publish ``text`` at ``path`` whole: a fsynced temp file in the
+    same directory, then ``os.replace``."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as f:
+            f.write(text)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
 
-    Layout::
 
-        <root>/
-          meta.json                    # schema + current env fingerprint
-          cells/<v>_<m>_<l>.<key12>.json
+class ContentStore:
+    """A content-addressed directory of serialized cells.
 
-    The 12-hex key prefix in the filename is the address: a lookup under
-    a changed environment computes a different key and simply misses.
-    Stale entries are inert; :meth:`prune` removes them.
+    Layout: ``<root>/cells/<v>_<m>_<l>.<key12>.json``.  The 12-hex prefix
+    of :func:`cell_key` is the address, so a lookup under a changed
+    fingerprint simply misses; :meth:`prune` removes stale entries.
+    Lookups never write: ``cells/`` appears with the first save.
+
+    A store binds ``root``, ``label`` (naming it in the corrupt-entry
+    warning and the ``<label>_corrupt_entries`` counter),
+    ``_compute_fingerprint()`` and ``_decode(payload)``, which raises on
+    a payload it cannot rebuild a cell from.
     """
 
-    def __init__(self, root: str | os.PathLike,
-                 thresholds: Thresholds = DEFAULT_THRESHOLDS,
-                 metrics=None):
-        self.root = Path(root)
+    label = "store"
+
+    def __init__(self, root: Path, thresholds: Thresholds, metrics) -> None:
+        self.root = root
         self.thresholds = thresholds
         self.stats = StoreStats()
         #: Optional :class:`~repro.service.metrics.MetricsRegistry`;
@@ -260,30 +261,14 @@ class ResultStore:
         self.metrics = metrics
         self._fingerprint: str | None = None
         self._lock = threading.Lock()
-        (self.root / "cells").mkdir(parents=True, exist_ok=True)
-
-    def _corrupt(self, path: Path, exc: Exception) -> None:
-        """A stored entry exists but cannot be decoded: warn, count, miss."""
-        self.stats._inc("invalid")
-        _log.warning(
-            "corrupt store entry treated as miss: path=%s error=%s: %s",
-            path, type(exc).__name__, exc)
-        if self.metrics is not None:
-            self.metrics.counter("store_corrupt_entries").inc()
 
     @property
     def fingerprint(self) -> str:
-        """The environment fingerprint (computed once per store instance)."""
+        """The hash every key embeds (computed once per store instance)."""
         with self._lock:
             if self._fingerprint is None:
-                self._fingerprint = environment_fingerprint(self.thresholds)
-                self._write_meta(self._fingerprint)
+                self._fingerprint = self._compute_fingerprint()
             return self._fingerprint
-
-    def _write_meta(self, fingerprint: str) -> None:
-        meta = {"schema": STORE_SCHEMA, "environment": fingerprint}
-        self._atomic_write(self.root / "meta.json",
-                           json.dumps(meta, indent=2) + "\n")
 
     def _path(self, cell: Cell) -> Path:
         vendor, model, language = cell
@@ -292,49 +277,38 @@ class ResultStore:
         slug = slug.replace("++", "pp").replace("/", "-").replace(" ", "-")
         return self.root / "cells" / f"{slug}.{key[:12]}.json"
 
-    @staticmethod
-    def _atomic_write(path: Path, text: str) -> None:
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as f:
-                f.write(text)
-                f.flush()
-                os.fsync(f.fileno())
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-
     # -- lookup / persist --------------------------------------------------
 
-    def load(self, cell: Cell) -> CellResult | None:
-        """Return the stored cell for the *current* environment, or None."""
+    def load(self, cell: Cell):
+        """The stored cell under the current fingerprint, or None.
+
+        An entry the JSON parser or :meth:`_decode` rejects, valid JSON
+        of the wrong shape included, is a counted miss, never an error.
+        """
         path = self._path(cell)
         try:
-            payload = json.loads(path.read_text())
+            result = self._decode(json.loads(path.read_text()))
         except FileNotFoundError:
             self.stats._inc("misses")
             return None
-        except (OSError, json.JSONDecodeError) as exc:
-            self._corrupt(path, exc)
-            return None
-        try:
-            result = cell_from_dict(payload, self.thresholds)
-        except (StoreIntegrityError, KeyError, ValueError) as exc:
-            self._corrupt(path, exc)
+        except (OSError, ValueError, KeyError, TypeError, AttributeError,
+                StoreIntegrityError) as exc:
+            self.stats._inc("invalid")
+            logging.getLogger(type(self).__module__).warning(
+                "corrupt %s entry treated as miss: path=%s error=%s: %s",
+                self.label, path, type(exc).__name__, exc)
+            if self.metrics is not None:
+                name = self.label.replace("-", "_")
+                self.metrics.counter(f"{name}_corrupt_entries").inc()
             return None
         self.stats._inc("hits")
         return result
 
-    def save(self, cell_result: CellResult) -> Path:
-        """Persist one cell under the current environment (atomic)."""
-        cell = (cell_result.vendor, cell_result.model, cell_result.language)
+    def save(self, cell: Cell, payload: dict) -> Path:
+        """Persist one serialized cell under the current fingerprint."""
         path = self._path(cell)
-        self._atomic_write(
-            path, json.dumps(cell_to_dict(cell_result), indent=1) + "\n")
+        path.parent.mkdir(parents=True, exist_ok=True)
+        _atomic_write(path, json.dumps(payload, indent=1) + "\n")
         self.stats._inc("writes")
         return path
 
@@ -344,9 +318,7 @@ class ResultStore:
         return sorted((self.root / "cells").glob("*.json"))
 
     def prune(self) -> int:
-        """Delete entries not addressed by the current environment."""
-        from repro.enums import all_cells
-
+        """Delete entries not addressed by the current fingerprint."""
         live = {self._path(c) for c in all_cells()}
         removed = 0
         for path in self.entries():
@@ -354,3 +326,23 @@ class ResultStore:
                 path.unlink()
                 removed += 1
         return removed
+
+
+class ResultStore(ContentStore):
+    """The compatibility cells' store at ``<root>/``, keyed by
+    :func:`environment_fingerprint` (see module docstring)."""
+
+    def __init__(self, root: str | os.PathLike,
+                 thresholds: Thresholds = DEFAULT_THRESHOLDS,
+                 metrics=None):
+        super().__init__(Path(root), thresholds, metrics)
+
+    def _compute_fingerprint(self) -> str:
+        return environment_fingerprint(self.thresholds)
+
+    def _decode(self, payload) -> CellResult:
+        return cell_from_dict(payload, self.thresholds)
+
+    # Bound in the class body: perfbench's tracer wraps them via __dict__.
+    load = ContentStore.load
+    save = ContentStore.save

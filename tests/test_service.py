@@ -192,6 +192,8 @@ def test_perf_store_corrupt_entry_logs_and_counts(tmp_path, caplog):
     metrics = MetricsRegistry()
     store = PerfStore(tmp_path, metrics=metrics)
     cell = (Vendor.NVIDIA, Model.CUDA, Language.CPP)
+    # The store creates cells/ on its first save, not on construction.
+    store._path(cell).parent.mkdir(parents=True)
     store._path(cell).write_text("}garbage")
     with caplog.at_level("WARNING", logger="repro.perfport.store"):
         assert store.load(cell) is None
@@ -339,6 +341,9 @@ def test_inprocess_client_advise_and_lint(service):
     assert by_model["recommendations"]
     report = client.lint_report()
     assert "diagnostics" in report and "counts" in report
+    # Built once per service, with no agreement rollup of its own.
+    assert service.lint_report() is service.lint_report()
+    assert "agreement" not in report
 
 
 def test_inprocess_client_metrics(service):
