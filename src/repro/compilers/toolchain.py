@@ -22,8 +22,6 @@ The compatibility probes rely on this error taxonomy to distinguish
 
 from __future__ import annotations
 
-import threading
-import weakref
 from dataclasses import dataclass, field, replace
 
 from repro.enums import ISA, Language, Maturity, Model, Provider
@@ -37,6 +35,7 @@ from repro.compilers.passes import optimize_module
 from repro.frontends.source import TranslationUnit
 from repro.isa.module import ModuleIR, TargetModule
 from repro.isa.targets import legalize
+from repro import memo
 
 #: One capability row: a (model, language) pair this toolchain compiles.
 @dataclass(frozen=True)
@@ -74,122 +73,29 @@ class CompileResult:
         return disassemble(self.binary)
 
 
-#: Guards every compile-cache counter (per-instance and process-wide).
-#: The service scheduler mutates these from N worker threads; one lock
-#: for all of them keeps the hit/miss pair consistent in snapshots.
-_STATS_LOCK = threading.Lock()
-
-
-@dataclass
-class CompileCacheStats:
-    """Hit/miss counters for the content-keyed compile cache.
-
-    Mutations must go through :meth:`record_hit` / :meth:`record_miss`
-    (they take the module-wide stats lock); direct attribute writes are
-    reserved for single-threaded test setup.
-    """
-
-    hits: int = 0
-    misses: int = 0
-
-    def record_hit(self) -> None:
-        with _STATS_LOCK:
-            self.hits += 1
-
-    def record_miss(self) -> None:
-        with _STATS_LOCK:
-            self.misses += 1
-
-    def snapshot(self) -> "CompileCacheStats":
-        """Consistent point-in-time copy (safe under concurrent compiles)."""
-        with _STATS_LOCK:
-            return CompileCacheStats(hits=self.hits, misses=self.misses)
-
-    @property
-    def total(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        t = self.hits + self.misses
-        return self.hits / t if t else 0.0
-
-
-class _Memo:
-    """A content-keyed memo whose misses are single-flighted per key.
-
-    Concurrent misses on one key do one build: the first caller builds
-    while the rest wait on the key's lock, then find the entry and count
-    as hits.  Distinct keys build concurrently.  A build that raises
-    stores nothing, so its error is raised again on every attempt.
-    """
-
-    def __init__(self):
-        self.entries: dict[tuple, object] = {}
-        self._inflight: dict[tuple, threading.Lock] = {}
-        self._guard = threading.Lock()
-
-    def get(self, key: tuple, build, *stats: CompileCacheStats):
-        """The entry for ``key``, from ``build()`` on a miss; every
-        ``stats`` records the lookup as a hit or a miss."""
-        entry = self.entries.get(key)
-        if entry is None:
-            with self._guard:
-                flight = self._inflight.setdefault(key, threading.Lock())
-            with flight:
-                entry = self.entries.get(key)
-                if entry is None:
-                    for s in stats:
-                        s.record_miss()
-                    try:
-                        entry = self.entries[key] = build()
-                    finally:
-                        with self._guard:
-                            self._inflight.pop(key, None)
-                    return entry
-        for s in stats:
-            s.record_hit()
-        return entry
-
-
-#: Process-wide aggregate across all toolchain instances; feeds the CLI
-#: ``--stats`` line and the matrix-rebuild acceptance check.
-_GLOBAL_CACHE_STATS = CompileCacheStats()
-
 #: The stage memo under every toolchain's compile cache: the optimized
 #: module per (kernel content, opt level), its kernelsan report per
 #: sanitize configuration, and its lowered binary per ISA.  Shared by
 #: all toolchains, because none of the three passes reads which
 #: toolchain, model, language or unit asked.
-_STAGES = _Memo()
-_STAGE_STATS = CompileCacheStats()
-
-#: Live toolchain instances, so :func:`clear_compile_cache` can reach
-#: every per-instance cache (the registry memoizes instances anyway).
-_ALL_TOOLCHAINS: "weakref.WeakSet[Toolchain]" = weakref.WeakSet()
+_STAGES = memo.Memo("stages", 256)
 
 
-def compile_cache_stats() -> CompileCacheStats:
+def compile_cache_stats() -> memo.MemoStats:
     """Process-wide compile-cache counters (all toolchains)."""
-    return _GLOBAL_CACHE_STATS
+    return memo.totals("compile")
 
 
-def stage_memo_stats() -> CompileCacheStats:
+def stage_memo_stats() -> memo.MemoStats:
     """Process-wide stage-memo counters: one hit or miss per optimize,
     sanitize or legalize lookup made by a compile-cache miss."""
-    return _STAGE_STATS
+    return _STAGES.stats
 
 
 def clear_compile_cache() -> None:
     """Drop every cached compile result and stage, and zero the counters."""
-    with _STATS_LOCK:
-        for tc in _ALL_TOOLCHAINS:
-            tc._compile_cache.entries.clear()
-            tc.cache_stats = CompileCacheStats()
-        _STAGES.entries.clear()
-        for stats in (_GLOBAL_CACHE_STATS, _STAGE_STATS):
-            stats.hits = 0
-            stats.misses = 0
+    memo.clear("compile")
+    memo.clear("stages")
 
 
 class Toolchain:
@@ -216,9 +122,8 @@ class Toolchain:
         }
         #: Compile results by unit content, target and configuration;
         #: N concurrent compiles of the same unit do one build.
-        self._compile_cache = _Memo()
-        self.cache_stats = CompileCacheStats()
-        _ALL_TOOLCHAINS.add(self)
+        self._compile_cache = memo.Memo("compile", 256)
+        self.cache_stats = self._compile_cache.stats
 
     # -- capability queries ---------------------------------------------------
 
@@ -281,12 +186,12 @@ class Toolchain:
         name).  The capability gates run on every call, so the error
         taxonomy is unaffected by caching.
 
-        The cache is safe under concurrent callers: misses on the same
-        key are single-flighted (one thread builds, the rest wait and
-        then hit), and all counters are lock-protected.  Below it, a
-        process-wide stage memo keyed on kernel content alone runs
-        optimize, sanitize and legalize once per distinct kernel (see
-        :meth:`_compile_uncached`).
+        The cache is a :class:`repro.memo.Memo` of 256 results: misses
+        on the same key are single-flighted (one thread builds, the rest
+        wait and then hit), and the oldest results are evicted past the
+        bound.  Below it, a process-wide stage memo keyed on kernel
+        content alone runs optimize, sanitize and legalize once per
+        distinct kernel (see :meth:`_compile_uncached`).
         """
         cap = self._caps.get((tu.model, tu.language))
         if cap is None:
@@ -313,8 +218,7 @@ class Toolchain:
         return self._compile_cache.get(
             key,
             lambda: self._compile_uncached(tu, content, target, options,
-                                           sanitize, sanitize_options),
-            self.cache_stats, _GLOBAL_CACHE_STATS)
+                                           sanitize, sanitize_options))
 
     def _compile_uncached(
         self,
@@ -344,7 +248,7 @@ class Toolchain:
             return optimize_module(module, level=level)
 
         optimized, report = _STAGES.get(("optimize", content, level),
-                                        optimize, _STAGE_STATS)
+                                        optimize)
         diagnostics = None
         warnings: list[str] = []
         if sanitize:
@@ -352,8 +256,7 @@ class Toolchain:
 
             kernelsan = _STAGES.get(
                 ("sanitize", content, level, repr(sanitize_options)),
-                lambda: sanitize_module(optimized, sanitize_options),
-                _STAGE_STATS)
+                lambda: sanitize_module(optimized, sanitize_options))
             diagnostics = replace(
                 kernelsan, diagnostics=list(kernelsan.diagnostics))
             from repro.translate.base import TranslationOrigin
@@ -370,8 +273,7 @@ class Toolchain:
                 d.render() for d in diagnostics.diagnostics if not d.is_error
             )
         lowered = _STAGES.get(("legalize", content, level, target),
-                              lambda: legalize(optimized, target),
-                              _STAGE_STATS)
+                              lambda: legalize(optimized, target))
         binary = replace(
             lowered,
             module=ModuleIR(name=tu.name, kernels=dict(lowered.module.kernels)),

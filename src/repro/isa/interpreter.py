@@ -45,12 +45,14 @@ The interpreter also meters work (flops, bytes, atomics) per launch;
 
 from __future__ import annotations
 
+import os
 import threading
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
+from repro import memo
 from repro.errors import (
     DivergentBarrierError,
     IRError,
@@ -97,9 +99,6 @@ _SHARED_ROW_ALIGN = 16
 _SHARED_ARENA_BYTES = 32 * 1024 * 1024
 #: Entries kept in the per-executor batch cache (FIFO evicted).
 _GEOM_CACHE_ENTRIES = 16
-#: Lanes kept in the process-wide geometry tables (FIFO evicted; the
-#: newest entry always stays): 2^20 lanes is about 46 MB of tables.
-_GEOM_TABLE_LANES = 1 << 20
 
 
 @dataclass
@@ -176,6 +175,10 @@ _TOTALS = InterpreterTotals()
 #: merges are not atomic in CPython.
 _TOTALS_LOCK = threading.Lock()
 
+# A forked child must not inherit the lock held by another thread.
+os.register_at_fork(
+    after_in_child=lambda: globals().update(_TOTALS_LOCK=threading.Lock()))
+
 
 def interpreter_totals() -> InterpreterTotals:
     """The process-wide launch/batch totals (read-only use intended)."""
@@ -200,9 +203,9 @@ def reset_interpreter_totals() -> None:
 
 
 #: Lane-geometry tables shared by every executor, keyed by
-#: ``(n_blocks, block, warp_size)``; see :func:`_geometry`.
-_GEOM_TABLES: dict[tuple, tuple] = {}
-_GEOM_LOCK = threading.Lock()
+#: ``(n_blocks, block, warp_size)``; see :func:`_geometry`.  Sized in
+#: lanes: 2^20 lanes is about 46 MB of tables.
+_GEOMETRY = memo.Memo("geometry", 1 << 20, size=lambda t: t[0].size)
 
 
 def _build_geometry(n_blocks: int, block: tuple[int, int, int],
@@ -234,29 +237,9 @@ def _build_geometry(n_blocks: int, block: tuple[int, int, int],
 
 def _geometry(n_blocks: int, block: tuple[int, int, int],
               warp_size: int) -> tuple:
-    """The process-wide lane tables for one batch shape, built on first
-    use.  Concurrent first uses may both build; every caller gets the
-    one copy that was stored first."""
-    key = (n_blocks, block, warp_size)
-    with _GEOM_LOCK:
-        tables = _GEOM_TABLES.get(key)
-    if tables is not None:
-        return tables
-    tables = _build_geometry(n_blocks, block, warp_size)
-    with _GEOM_LOCK:
-        stored = _GEOM_TABLES.setdefault(key, tables)
-        if stored is tables:
-            lanes = sum(t[0].size for t in _GEOM_TABLES.values())
-            while lanes > _GEOM_TABLE_LANES and len(_GEOM_TABLES) > 1:
-                oldest = next(iter(_GEOM_TABLES))
-                lanes -= _GEOM_TABLES.pop(oldest)[0].size
-    return stored
-
-
-def _clear_geometry() -> None:
-    """Drop the shared geometry tables (``tracing.clear_trace_cache``)."""
-    with _GEOM_LOCK:
-        _GEOM_TABLES.clear()
+    """The process-wide lane tables for one batch shape, built once."""
+    return _GEOMETRY.get((n_blocks, block, warp_size),
+                         lambda: _build_geometry(n_blocks, block, warp_size))
 
 
 class _LazyCtaid:

@@ -51,11 +51,11 @@ from __future__ import annotations
 
 import hashlib
 import re
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
+from repro import memo
 from repro.errors import DivergentBarrierError, IRError, MemoryFaultError
 from repro.gpu.memory import DeviceMemory
 from repro.isa import dtypes
@@ -87,9 +87,6 @@ TRACE_SCHEMA = 1
 
 #: Kernels above this instruction count bail out (``too_large``).
 _MAX_TRACE_INSTRS = 512
-
-#: Compiled programs (and cached bailouts) kept process-wide, FIFO.
-_MAX_PROGRAMS = 256
 
 #: The bailout-reason taxonomy (see module docstring).
 BAILOUT_REASONS = ("shuffle", "atomic_cas", "exit", "too_large", "unsupported")
@@ -126,9 +123,9 @@ class TracedProgram:
     verdict: object = None
 
 
-#: key -> TracedProgram, or a bailout-reason string for cached refusals.
-_CACHE: dict[str, object] = {}
-_CACHE_LOCK = threading.Lock()
+#: key -> TracedProgram, or a bailout-reason string for cached refusals;
+#: the oldest of more than 256 are evicted.
+_PROGRAMS = memo.Memo("traces", 256)
 
 _default_mode: bool | None = None
 
@@ -157,16 +154,12 @@ def set_default_trace_mode(mode: bool | None) -> None:
 def clear_trace_cache() -> None:
     """Drop all compiled programs and cached bailouts, and the
     interpreter's shared launch-geometry tables (a cold start)."""
-    from repro.isa.interpreter import _clear_geometry
-
-    with _CACHE_LOCK:
-        _CACHE.clear()
-    _clear_geometry()
+    memo.clear("traces")
+    memo.clear("geometry")
 
 
 def trace_cache_size() -> int:
-    with _CACHE_LOCK:
-        return len(_CACHE)
+    return len(_PROGRAMS.entries)
 
 
 def kernel_fingerprint(kernel: KernelIR) -> str:
@@ -235,29 +228,24 @@ def lookup(executor, grid: tuple[int, int, int], block: tuple[int, int, int],
         executor.trace_fingerprint = fingerprint
     key = _shape_key(fingerprint, executor.warp_size, grid, block,
                      blocks_per_batch)
-    with _CACHE_LOCK:
-        entry = _CACHE.get(key)
-    if entry is None:
+    outcome = "hit"
+
+    def build():
+        nonlocal outcome
+        outcome = "miss"
         try:
             compiler = _TraceCompiler(executor.kernel, executor.warp_size,
                                       grid, block, blocks_per_batch)
             source = compiler.compile()
             fn = _exec_program(source, executor.kernel.name, key)
-            entry = TracedProgram(key=key, kernel_name=executor.kernel.name,
-                                  source=source, fn=fn)
-            outcome = "miss"
+            return TracedProgram(key=key, kernel_name=executor.kernel.name,
+                                 source=source, fn=fn)
         except TraceBailout as exc:
-            entry = exc.reason
-            outcome = "bailout"
+            return exc.reason
         except Exception:  # defensive: an untraceable corner is a bailout
-            entry = "unsupported"
-            outcome = "bailout"
-        with _CACHE_LOCK:
-            if len(_CACHE) >= _MAX_PROGRAMS:
-                _CACHE.pop(next(iter(_CACHE)))
-            entry = _CACHE.setdefault(key, entry)
-    else:
-        outcome = "hit" if isinstance(entry, TracedProgram) else "bailout"
+            return "unsupported"
+
+    entry = _PROGRAMS.get(key, build)
     if isinstance(entry, TracedProgram):
         if validate and entry.verdict is None:
             from repro.analysis import tracesan as _tracesan
@@ -267,7 +255,7 @@ def lookup(executor, grid: tuple[int, int, int], block: tuple[int, int, int],
                 grid, block, blocks_per_batch, key=entry.key)
         _count(outcome)
         return entry
-    _count("bailout" if outcome != "bailout" else outcome, entry)
+    _count("bailout", entry)
     return None
 
 
@@ -276,8 +264,7 @@ def cached_bailout_reason(kernel: KernelIR, warp_size: int, grid, block,
     """The cached bailout reason for one shape, if any (introspection)."""
     key = trace_key(kernel, warp_size, tuple(grid), tuple(block),
                     blocks_per_batch)
-    with _CACHE_LOCK:
-        entry = _CACHE.get(key)
+    entry = _PROGRAMS.peek(key)
     return entry if isinstance(entry, str) else None
 
 

@@ -4,19 +4,22 @@ Thread-safe counters, gauges, and latency histograms, collected by the
 scheduler, the result store, and the serving layer, and exposed at the
 server's ``/metrics`` endpoint and via ``gpu-compat eval --stats``.
 
-A snapshot also folds in the two pre-existing process-wide counter
-sets — the content-keyed compile cache
-(:func:`repro.compilers.toolchain.compile_cache_stats`) and the
-interpreter launch/batch totals
+A snapshot also folds in the process-wide counter sets — the
+content-keyed compile cache
+(:func:`repro.compilers.toolchain.compile_cache_stats`), every memo's
+size, bound, hits, misses and evictions (:func:`repro.memo.snapshot`)
+and the interpreter launch/batch totals
 (:func:`repro.isa.interpreter.snapshot_interpreter_totals`) — so one
 document describes the whole pipeline: queue behaviour, job retries,
-store reuse, compile reuse, and executed work.
+store reuse, compile reuse, cache growth, and executed work.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+
+from repro import memo
 
 
 #: Default latency buckets, in seconds.  Jobs here range from ~100 us
@@ -187,4 +190,5 @@ class MetricsRegistry:
                 "traced_batches": it.trace.traced_batches,
                 "bailout_reasons": dict(sorted(it.trace.reasons.items())),
             },
+            "caches": memo.snapshot(),
         }

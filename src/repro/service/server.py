@@ -62,11 +62,11 @@ zero stream-kernel executions.
 from __future__ import annotations
 
 import json
-import threading
 import urllib.parse
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable
 
+from repro import memo
 from repro.enums import Language, Model, SupportCategory, Vendor, all_cells
 from repro.service.api import (
     AdminStoresResponse,
@@ -147,8 +147,9 @@ def _parse_language(text: str) -> Language:
 class MatrixService:
     """The in-process core: owns the matrices, stores, and metrics.
 
-    Thread-safe: both lazy builds are single-flighted behind a lock and
-    every query method reads the immutable built structures.
+    Thread-safe: the lazy builds and lint replies are single-flighted
+    per key in one memo, and every query method reads the immutable
+    built structures.
     """
 
     def __init__(
@@ -177,38 +178,30 @@ class MatrixService:
             PerfStore(store.root, params=self.perf_params,
                       thresholds=store.thresholds, metrics=self.metrics)
             if store is not None else None)
-        self._report: BuildReport | None = None
-        self._perf_report = None
-        self._static_perf = None
-        self._lints: dict[str, dict] = {}
-        self._build_lock = threading.Lock()
-        self._kernel_rows: dict[str, dict] = {}
-        self._kernel_lock = threading.Lock()
+        #: The compat, perf and static builds and the three lint
+        #: replies, each built once: a fixed key set, never evicted.
+        self._builds = memo.Memo("builds", None)
+        #: Submitted kernels' rows (~5 KB each) by content fingerprint,
+        #: bounded at 2.5x the ~400 kernels a perfbench `embed` run sends.
+        self._kernel_rows = memo.Memo("kernel_rows", 1024)
 
     # -- lifecycle ---------------------------------------------------------
 
     def ensure_built(self) -> BuildReport:
         """Build (or load) the compat matrix once; later calls are free."""
-        with self._build_lock:
-            if self._report is None:
-                self._report = build_matrix_concurrent(
-                    self.jobs, execution=self.execution, store=self.store,
-                    metrics=self.metrics)
-            return self._report
+        return self._builds.get("compat", lambda: build_matrix_concurrent(
+            self.jobs, execution=self.execution, store=self.store,
+            metrics=self.metrics))
 
     def ensure_perf_built(self):
         """Build (or load) the perf matrix once; later calls are free."""
         from repro.perfport.scheduler import PerfScheduler
 
-        compat = self.ensure_built().matrix
-        with self._build_lock:
-            if self._perf_report is None:
-                self._perf_report = PerfScheduler(
-                    self.jobs, compat=compat, execution=self.execution,
-                    params=self.perf_params, store=self.perf_store,
-                    metrics=self.metrics,
-                ).build()
-            return self._perf_report
+        return self._builds.get("perf", lambda: PerfScheduler(
+            self.jobs, compat=self.ensure_built().matrix,
+            execution=self.execution, params=self.perf_params,
+            store=self.perf_store, metrics=self.metrics,
+        ).build())
 
     def ensure_static_perf_built(self):
         """Predict the perf matrix statically once; later calls are free.
@@ -220,11 +213,8 @@ class MatrixService:
         """
         from repro.analysis.perfstat import build_static_perf_matrix
 
-        with self._build_lock:
-            if self._static_perf is None:
-                self._static_perf = build_static_perf_matrix(
-                    self.perf_params)
-            return self._static_perf
+        return self._builds.get(
+            "static", lambda: build_static_perf_matrix(self.perf_params))
 
     @property
     def matrix(self):
@@ -251,11 +241,11 @@ class MatrixService:
         )
 
     def health(self) -> dict:
-        built = self._report is not None
+        report = self._builds.peek("compat")
         return {
             "status": "ok",
-            "built": built,
-            "cells": self._report.matrix.n_cells if built else 0,
+            "built": report is not None,
+            "cells": report.matrix.n_cells if report else 0,
             "read_only": self.read_only,
             "execution": self.execution_info().as_dict(),
         }
@@ -313,18 +303,17 @@ class MatrixService:
     def _lint(self, family: str, build) -> dict:
         """One lint family's reply, built once: ``build()`` returns
         ``(report, summary)``; a summary becomes ``<family>_*`` gauges and
-        the reply's ``agreement``.  Build what ``build`` reads first:
-        ``_build_lock`` is not re-entrant."""
-        with self._build_lock:
-            if family not in self._lints:
-                report, summary = build()
-                payload = json.loads(report.to_json())
-                if summary is not None:
-                    for name, value in summary.items():
-                        self.metrics.gauge(f"{family}_{name}").set(value)
-                    payload["agreement"] = summary
-                self._lints[family] = payload
-            return self._lints[family]
+        the reply's ``agreement``."""
+        def reply():
+            report, summary = build()
+            payload = json.loads(report.to_json())
+            if summary is not None:
+                for name, value in summary.items():
+                    self.metrics.gauge(f"{family}_{name}").set(value)
+                payload["agreement"] = summary
+            return payload
+
+        return self._builds.get(("lint", family), reply)
 
     def lint_report(self) -> dict:
         from repro.analysis.routes_evidence import cross_check
@@ -334,10 +323,12 @@ class MatrixService:
     def snapshot_metrics(self) -> dict:
         from repro.workloads.babelstream import stream_totals
 
+        report = self._builds.peek("compat")
+        perf_built = self._builds.peek("perf") is not None
         snap = self.metrics.snapshot()
         if self.store is not None:
             snap["store"] = self.store.stats.as_dict()
-            if self._perf_report is not None:
+            if perf_built:
                 snap["perf_store"] = self.perf_store.stats.as_dict()
         snap["stream"] = stream_totals()
         snap["execution"] = self.execution_info().as_dict()
@@ -345,13 +336,11 @@ class MatrixService:
             "jobs": self.jobs,
             "execution": self.execution,
             "read_only": self.read_only,
-            "built": self._report is not None,
-            "perf_built": self._perf_report is not None,
-            "static_perf_built": self._static_perf is not None,
-            "cells_from_store": (
-                self._report.cells_from_store if self._report else 0),
-            "cells_evaluated": (
-                self._report.cells_evaluated if self._report else 0),
+            "built": report is not None,
+            "perf_built": perf_built,
+            "static_perf_built": self._builds.peek("static") is not None,
+            "cells_from_store": report.cells_from_store if report else 0,
+            "cells_evaluated": report.cells_evaluated if report else 0,
         }
         return snap
 
@@ -391,11 +380,8 @@ class MatrixService:
         removed = {"matrix": 0, "perf": 0}
         for name, store in (("matrix", self.store),
                             ("perf", self.perf_store)):
-            if store is None:
-                continue
-            for path in store.entries():
-                path.unlink(missing_ok=True)
-                removed[name] += 1
+            if store is not None:
+                removed[name] = store.clear()
         self.metrics.counter("admin_store_clears").inc()
         return {"cleared": True, "removed": removed}
 
@@ -538,10 +524,8 @@ class MatrixService:
             perf_agreement_summary,
         )
 
-        dynamic = self.perf
-        static = self.ensure_static_perf_built()
-
         def build():
+            dynamic, static = self.perf, self.ensure_static_perf_built()
             report = library_cost_report()
             report.extend(cross_check_perf(static, dynamic).diagnostics)
             return report, perf_agreement_summary(report)
@@ -586,9 +570,10 @@ class MatrixService:
         "signature"?: str}``.  The source is vetted and compiled by
         :func:`repro.jit.from_source` (size caps, static validation,
         inert exec); success returns the kernel's personal
-        compatibility row.  Rows are cached by content fingerprint, so
-        resubmitting the same kernel — e.g. once per transport — serves
-        the identical payload object without re-running the routes.
+        compatibility row.  The newest 1,024 rows are kept by content
+        fingerprint, so resubmitting a kept kernel — e.g. once per
+        transport — serves its payload without re-running the routes; an
+        evicted kernel's row is rebuilt equal to its first reply.
         """
         from repro.errors import JitTypeError, ReproError
         from repro.jit import MAX_SOURCE_BYTES, build_row, from_source
@@ -613,12 +598,8 @@ class MatrixService:
                 f"kernel source exceeds the {MAX_SOURCE_BYTES}-byte limit")
         try:
             jk = from_source(source, name=name, signature=signature)
-            fp = jk.fingerprint()
-            with self._kernel_lock:
-                cached = self._kernel_rows.get(fp)
-            if cached is not None:
-                return cached
-            payload = build_row(jk).to_dict()
+            return self._kernel_rows.get(
+                jk.fingerprint(), lambda: build_row(jk).to_dict())
         except JitTypeError as exc:
             self.count_rejection(KernelRejectedError.code)
             raise KernelRejectedError(str(exc)) from exc
@@ -628,9 +609,6 @@ class MatrixService:
             self.count_rejection(KernelRejectedError.code)
             raise KernelRejectedError(
                 f"{type(exc).__name__}: {exc}") from exc
-        with self._kernel_lock:
-            self._kernel_rows.setdefault(fp, payload)
-            return self._kernel_rows[fp]
 
 
 # -- shared request routing ---------------------------------------------------

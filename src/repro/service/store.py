@@ -47,6 +47,7 @@ import logging
 import os
 import tempfile
 import threading
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -58,6 +59,11 @@ from repro.enums import Language, Model, Vendor, all_cells
 
 #: Bump when the on-disk layout or serialization schema changes.
 STORE_SCHEMA = 1
+
+#: Age past which a save's temp file is an orphan.  A save holds its
+#: temp file for one write and one fsync; one killed between its write
+#: and ``os.replace`` leaves the file behind for good.
+_ORPHAN_AGE_S = 60.0
 
 Cell = tuple[Vendor, Model, Language]
 
@@ -241,7 +247,8 @@ class ContentStore:
 
     Layout: ``<root>/cells/<v>_<m>_<l>.<key12>.json``.  The 12-hex prefix
     of :func:`cell_key` is the address, so a lookup under a changed
-    fingerprint simply misses; :meth:`prune` removes stale entries.
+    fingerprint simply misses; :meth:`prune` removes stale entries and
+    :meth:`clear` every entry.
     Lookups never write: ``cells/`` appears with the first save.
 
     A store binds ``root``, ``label`` (naming it in the corrupt-entry
@@ -318,14 +325,29 @@ class ContentStore:
         return sorted((self.root / "cells").glob("*.json"))
 
     def prune(self) -> int:
-        """Delete entries not addressed by the current fingerprint."""
+        """Delete entries not addressed by the current fingerprint, and
+        orphaned temp files; returns the number of entries deleted."""
         live = {self._path(c) for c in all_cells()}
-        removed = 0
-        for path in self.entries():
-            if path not in live:
-                path.unlink()
-                removed += 1
-        return removed
+        return self._delete([p for p in self.entries() if p not in live])
+
+    def clear(self) -> int:
+        """Delete every entry, and orphaned temp files; returns the
+        number of entries deleted."""
+        return self._delete(self.entries())
+
+    def _delete(self, paths: list[Path]) -> int:
+        """Delete ``paths`` and the temp files older than
+        ``_ORPHAN_AGE_S``, leaving those of saves still in flight."""
+        for path in paths:
+            path.unlink(missing_ok=True)
+        cutoff = time.time() - _ORPHAN_AGE_S
+        for path in (self.root / "cells").glob("*.tmp"):
+            try:
+                if path.stat().st_mtime < cutoff:
+                    path.unlink()
+            except FileNotFoundError:  # its save published it meanwhile
+                pass
+        return len(paths)
 
 
 class ResultStore(ContentStore):

@@ -17,6 +17,7 @@ verified against the analytically known final values.
 
 from __future__ import annotations
 
+import os
 import threading
 from dataclasses import dataclass, field
 from typing import Callable
@@ -523,6 +524,10 @@ def _verify(n: int, reps: int, arrays, dot_value: float) -> bool:
 #: stream kernels?" is answered by diffing :func:`stream_totals`).
 _TOTALS_LOCK = threading.Lock()
 _TOTALS = {"runs": 0, "kernels": 0}
+
+# A forked child must not inherit the lock held by another thread.
+os.register_at_fork(
+    after_in_child=lambda: globals().update(_TOTALS_LOCK=threading.Lock()))
 
 
 def stream_totals() -> dict[str, int]:

@@ -183,9 +183,9 @@ def test_geometry_tables_are_shared_across_executors(rng):
     wide = tables(ir, 64)
     assert not any(a is b for a, b in zip(first, wide))
     assert (wide[-1] == 64).all() and (first[-1] == 32).all()
-    assert len(interpreter._GEOM_TABLES) == 2
+    assert len(interpreter._GEOMETRY.entries) == 2
     clear_trace_cache()
-    assert interpreter._GEOM_TABLES == {}
+    assert interpreter._GEOMETRY.entries == {}
     assert not any(a is b for a, b in zip(first, tables(ir, 32)))
 
 
@@ -240,4 +240,4 @@ def test_geometry_tables_single_copy_under_contention():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert all(g is got[0] for g in got)
-    assert interpreter._GEOM_TABLES == {(64, (256, 1, 1), 32): got[0]}
+    assert interpreter._GEOMETRY.entries == {(64, (256, 1, 1), 32): got[0]}

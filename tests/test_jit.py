@@ -515,6 +515,23 @@ def test_submit_row_is_cached_by_fingerprint(service):
         "jit_submissions_total").value == before + 1
 
 
+def test_evicted_row_is_rebuilt_equal_to_the_first_reply():
+    from repro.memo import Memo
+    from repro.service import InProcessClient, MatrixService
+
+    service = MatrixService(jobs=2)
+    rows = service._kernel_rows = Memo("test:kernel_rows", 2)
+    client = InProcessClient(service)
+    sources = [SUBMIT_SRC.replace("x[i] * a", f"x[i] * a + {c}.0")
+               for c in range(3)]
+    replies = [client.submit_kernel(source).payload for source in sources]
+    assert rows.stats.evictions == 1
+    assert len({r["fingerprint"] for r in replies}) == 3
+    again = client.submit_kernel(sources[0]).payload
+    assert rows.stats.misses == 4
+    assert again == replies[0]
+
+
 def test_submit_rejection_is_typed_on_both_transports(service, http_client):
     from repro.service import InProcessClient, KernelRejectedError
 

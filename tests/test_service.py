@@ -440,6 +440,12 @@ def test_all_endpoints_payload_identical_across_transports(warm_store_dir):
                 assert a["counters"].keys() == b["counters"].keys()
             else:
                 assert a.payload == b.payload, name
+        # The three builds and three lint replies are a fixed key set:
+        # kept unbounded, so a seventh key evicts nothing either.
+        assert len(svc._builds.entries) == 6 and svc._builds.bound is None
+        svc._builds.get("a seventh key", object)
+        assert svc._builds.stats.evictions == 0
+        assert svc._builds.peek("compat") is not None
         # Error parity: same typed error, code, and status both ways.
         for client in (inproc, http):
             with pytest.raises(NotFoundError) as err:

@@ -14,6 +14,7 @@ import json
 import multiprocessing
 import os
 import shutil
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -140,6 +141,31 @@ def test_crash_mid_write_leaves_no_loadable_entry(kind, root, warm):
     assert report.cells_from_store == 51
     assert store.stats.as_dict()["invalid"] == 0
     assert report.matrix == _reference(kind, warm)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_prune_and_clear_sweep_orphaned_temp_files(kind, root):
+    """A temp file left by a save killed before ``os.replace`` goes once
+    it is old; a fresh one, maybe a save still in flight, stays."""
+    store = _store(kind, root)
+    cells = store.root / "cells"
+
+    def temp_file(name, age_s):
+        path = cells / name
+        path.write_text("{}")
+        then = time.time() - age_s
+        os.utime(path, (then, then))
+        return path
+
+    fresh = temp_file("tmp-fresh.tmp", 0)
+    temp_file("tmp-orphan.tmp", 3600)
+    assert store.prune() == 0
+    assert sorted(cells.glob("*.tmp")) == [fresh]
+    temp_file("tmp-orphan-2.tmp", 3600)
+    cleared = MatrixService(jobs=2, store=str(root)).clear_stores()
+    assert cleared["removed"] == {"matrix": 51, "perf": 51}
+    assert store.entries() == []
+    assert sorted(cells.glob("*.tmp")) == [fresh]
 
 
 def _save_repeatedly(kind, root, payload, barrier, times):

@@ -337,6 +337,49 @@ def test_distinct_shapes_get_distinct_programs(rng):
     assert trace_cache_size() == 2
 
 
+def test_racing_lookups_compile_one_shape_once(rng, monkeypatch):
+    """Six launches missing one key at once compile it once: the leader
+    is held inside the compile until the others wait on its flight."""
+    import threading
+    import time
+
+    from repro.isa import tracing
+
+    ir, grid, block, args, image = _setup("stream_triad", 4096, rng)
+    real = tracing._TraceCompiler.compile
+    entered, release = threading.Event(), threading.Event()
+    calls = []
+
+    def held_compile(self):
+        calls.append(self.k.name)
+        entered.set()
+        assert release.wait(timeout=10), "test never released the leader"
+        return real(self)
+
+    monkeypatch.setattr(tracing._TraceCompiler, "compile", held_compile)
+    n = 6
+    threads = [threading.Thread(target=_run, args=(ir, grid, block, args,
+                                                   image),
+                                kwargs={"trace": True})
+               for _ in range(n)]
+
+    def race():
+        for t in threads:
+            t.start()
+        assert entered.wait(timeout=10)
+        time.sleep(0.05)  # let the followers reach the flight lock
+        release.set()
+        for t in threads:
+            t.join(timeout=10)
+
+    _, delta = _trace_delta(race)
+    assert not any(t.is_alive() for t in threads)
+    assert calls == ["stream_triad"]
+    assert (delta["misses"], delta["hits"]) == (1, n - 1)
+    assert delta["traced_launches"] == n
+    assert trace_cache_size() == 1
+
+
 # -- errors surface identically -----------------------------------------------
 
 
