@@ -21,8 +21,10 @@ Entry points:
 * :mod:`repro.analysis.tracesan` — static translation validation of
   trace-compiled programs (``TC01``–``TC06``), proving each generated
   program equivalent to its kernel IR without executing either;
-* ``Toolchain.compile(..., sanitize=True)`` and the ``gpu-compat lint``
-  CLI are the integrated front doors.
+* :mod:`repro.analysis.families` — the five lint families, each defined
+  once (report builder, SARIF tool name, exit rule);
+* ``Toolchain.compile(..., sanitize=True)``, the ``gpu-compat lint``
+  CLI and the service's ``/lint?family=`` are the integrated front doors.
 """
 
 from repro.analysis.dataflow import LaunchBounds, analyze_dataflow

@@ -545,10 +545,13 @@ def perf_agreement_summary(report: LintReport) -> dict[str, int]:
     }
 
 
-def lint_perf(dynamic: PerfMatrix,
-              params: PerfParams | None = None) -> LintReport:
-    """The full ``lint --perf`` report: library costs + cross-check."""
-    static = build_static_perf_matrix(params or dynamic.params)
+def lint_perf(dynamic: PerfMatrix, static: StaticPerfMatrix | None = None,
+              ) -> tuple[LintReport, dict[str, int]]:
+    """The full ``lint --perf`` report (library costs + the cross-check
+    of ``static``, predicted at ``dynamic.params`` unless given) and its
+    agreement rollup."""
+    if static is None:
+        static = build_static_perf_matrix(dynamic.params)
     report = library_cost_report()
     report.extend(cross_check_perf(static, dynamic).diagnostics)
-    return report
+    return report, perf_agreement_summary(report)

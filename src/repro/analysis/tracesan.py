@@ -1780,7 +1780,8 @@ def trace_agreement_summary(
     }
 
 
-def lint_traces(kernels: dict | None = None,
-                warp_size: int = 32) -> LintReport:
-    """``gpu-compat lint --traces`` entry: sweep, fold, report."""
-    return traces_lint_report(validate_library(kernels, warp_size))
+def lint_traces(kernels: dict | None = None, warp_size: int = 32,
+                ) -> tuple[LintReport, dict[str, int]]:
+    """``gpu-compat lint --traces`` entry: sweep, fold, report, roll up."""
+    results = validate_library(kernels, warp_size)
+    return traces_lint_report(results), trace_agreement_summary(results)

@@ -50,10 +50,12 @@ Subcommands:
   formats, same reductions, zero kernel executions, cold or warm.
 * ``serve [--host H] [--port P] [--jobs N] [--execution thread|process]
   [--store DIR] [--lazy] [--read-only]`` — serve the derived matrix
-  over the loopback JSON API (``/cell``, ``/table``, ``/advise``,
-  ``/lint/routes``, ``/lint/perf``, ``/lint/traces``, ``/metrics``,
-  ``/perf/matrix``, ``/perf/cell``, ``/perf/portability``,
-  ``/perf/static``, ``/admin/stores``, ``/admin/stores/clear``).
+  over the loopback JSON API (``/healthz``, ``/cell``, ``/table``,
+  ``/advise``, ``/lint?family=routes|perf|traces`` and its one-release
+  aliases ``/lint/routes``, ``/lint/perf``, ``/lint/traces``,
+  ``/metrics``, ``/perf/matrix``, ``/perf/cell``, ``/perf/portability``,
+  ``/perf/static``, ``/admin/stores``, ``/admin/stores/clear``,
+  ``/kernel/submit``; ``repro.service.server.ENDPOINTS`` lists them).
   ``--read-only`` turns the mutating ``/admin`` endpoints into typed
   403 ``read_only`` errors.
 
@@ -110,32 +112,25 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.enums import Language, Model, SupportCategory, Vendor
+from repro import enums
+from repro.enums import Language, Model, SupportCategory
 from repro.errors import CompileError, FrontendError, VerificationError
 
 
-def _vendor(text: str) -> Vendor:
-    for v in Vendor:
-        if v.value.lower() == text.lower():
-            return v
-    raise argparse.ArgumentTypeError(f"unknown vendor '{text}'")
+def _axis(parse):
+    """An argparse type over a :mod:`repro.enums` parser (exit 2)."""
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return convert
 
 
-def _model(text: str) -> Model:
-    for m in Model:
-        if m.value.lower() == text.lower():
-            return m
-    raise argparse.ArgumentTypeError(f"unknown model '{text}'")
-
-
-def _language(text: str) -> Language:
-    aliases = {"c++": Language.CPP, "cpp": Language.CPP,
-               "fortran": Language.FORTRAN, "f": Language.FORTRAN,
-               "python": Language.PYTHON, "py": Language.PYTHON}
-    try:
-        return aliases[text.lower()]
-    except KeyError:
-        raise argparse.ArgumentTypeError(f"unknown language '{text}'") from None
+_vendor = _axis(enums.parse_vendor)
+_model = _axis(enums.parse_model)
+_language = _axis(enums.parse_language)
 
 
 def cmd_table(args) -> int:
@@ -309,206 +304,133 @@ def _lint_corpus(args):
     return fns
 
 
-def _lint_routes(args) -> int:
-    """``lint --routes``: static route evidence vs. the paper matrix."""
-    from repro.analysis.diagnostics import to_sarif_json
-    from repro.analysis.routes_evidence import cross_check
-
-    report = cross_check()
-    if args.format == "sarif":
-        print(to_sarif_json(report, tool_name="routes-evidence"))
-    elif args.format == "json":
-        print(report.to_json())
-    else:
-        for d in report.diagnostics:
-            print(d.render())
-        print(f"cross-checked 51 cells against the reconstructed paper "
-              f"matrix: {report.summary_line()}")
-    if report.errors:
-        return 2  # registry and paper matrix contradict each other
-    return 1 if report.warnings else 0
+#: Each family's last text line, from its summary line, its agreement
+#: rollup and the counts `_lint_inputs` returns.
+_FOOTERS = {
+    "kernelsan": "linted {kernels} kernel(s): {summary}",
+    "routes": ("cross-checked 51 cells against the reconstructed paper "
+               "matrix: {summary}"),
+    "transval": ("validated {translators} translator instance(s) "
+                 "[{names}]: {summary}"),
+    "perfstat": ("cross-checked 51 cells against the measured perf "
+                 "matrix: {summary} ({cells_agreeing} supported cell(s) "
+                 "agreeing)"),
+    "tracesan": ("statically validated {validated}/{kernels_total} "
+                 "trace-compiled kernel(s) ({exact} exact, {bailed_out} "
+                 "bailed out, 0 kernel executions): {summary}"),
+}
 
 
-def _lint_perf(args) -> int:
-    """``lint --perf``: static cost-model predictions vs. measurement."""
-    from repro.analysis.diagnostics import to_sarif_json
-    from repro.analysis.perfstat import lint_perf, perf_agreement_summary
-    from repro.perfport import DEFAULT_N, DEFAULT_REPS, PerfParams
-    from repro.service import MatrixService
+def _lint_inputs(name: str, args) -> tuple[tuple, dict]:
+    """A family's builder inputs, and the counts its footer names.
 
-    params = PerfParams(
-        n=args.n if args.n is not None else DEFAULT_N,
-        reps=args.reps if args.reps is not None else DEFAULT_REPS)
-    service = MatrixService(jobs=args.jobs, store=args.store,
-                            perf_params=params)
-    report = lint_perf(service.perf)
-    if args.format == "sarif":
-        print(to_sarif_json(report, tool_name="perfstat"))
-    elif args.format == "json":
-        print(report.to_json())
-    else:
-        for d in report.diagnostics:
-            print(d.render())
-        summary = perf_agreement_summary(report)
-        print(f"cross-checked 51 cells against the measured perf matrix: "
-              f"{report.summary_line()} "
-              f"({summary['cells_agreeing']} supported cell(s) agreeing)")
-    if report.errors:
-        return 2  # the cost model and the interpreter metering disagree
-    return 1 if report.warnings else 0
+    kernelsan lints the corpus and geometry the flags pick; perfstat
+    cross-checks the two perf matrices of a service over ``--store``.
+    """
+    if name == "kernelsan":
+        from repro.analysis import AnalysisOptions, LaunchBounds
+        from repro.analysis.sanitizer import PASSES
+        from repro.isa.module import ModuleIR
 
+        fns = _lint_corpus(args)
+        module = ModuleIR(name=args.module or "kernel_library")
+        for fn in fns:
+            module.add(fn.ir)
+        passes = tuple(args.passes) if args.passes else tuple(PASSES)
+        unknown = [p for p in passes if p not in PASSES]
+        if unknown:
+            raise argparse.ArgumentTypeError(
+                f"unknown pass(es): {', '.join(unknown)} "
+                f"(available: {', '.join(PASSES)})")
+        options = AnalysisOptions(
+            bounds=LaunchBounds.of(block=args.block, grid=args.grid),
+            extents=dict(args.extent) if args.extent else None,
+            passes=passes,
+        )
+        return (module, options), {"kernels": len(fns)}
+    if name == "transval":
+        from repro.analysis.transval import shipped_translators
 
-def _lint_traces(args) -> int:
-    """``lint --traces``: static translation validation of trace programs."""
-    from repro.analysis.diagnostics import to_sarif_json
-    from repro.analysis.tracesan import (trace_agreement_summary,
-                                         traces_lint_report,
-                                         validate_library)
+        translators = shipped_translators()
+        names = ", ".join(
+            f"{t.NAME}({t.SOURCE_MODEL.value})" for t in translators)
+        return (translators,), {"translators": len(translators),
+                                "names": names}
+    if name == "perfstat":
+        from repro.perfport import DEFAULT_N, DEFAULT_REPS, PerfParams
+        from repro.service import MatrixService
 
-    results = validate_library()
-    report = traces_lint_report(results)
-    if args.format == "sarif":
-        print(to_sarif_json(report, tool_name="tracesan"))
-    elif args.format == "json":
-        print(report.to_json())
-    else:
-        for d in report.diagnostics:
-            print(d.render())
-        summary = trace_agreement_summary(results)
-        print(f"statically validated {summary['validated']}/"
-              f"{summary['kernels_total']} trace-compiled kernel(s) "
-              f"({summary['exact']} exact, {summary['bailed_out']} bailed "
-              f"out, 0 kernel executions): {report.summary_line()}")
-    if report.errors:
-        return 2  # generated trace code provably diverges from the IR
-    return 1 if report.warnings else 0
+        params = PerfParams(
+            n=args.n if args.n is not None else DEFAULT_N,
+            reps=args.reps if args.reps is not None else DEFAULT_REPS)
+        service = MatrixService(jobs=args.jobs, store=args.store,
+                                perf_params=params)
+        return (service.perf, service.ensure_static_perf_built()), {}
+    return (), {}
 
 
-def _kernelsan_report(args):
-    """The classic kernelsan sweep: (report, kernel count)."""
-    from repro.analysis import AnalysisOptions, LaunchBounds, analyze_module
-    from repro.analysis.sanitizer import PASSES
-    from repro.isa.module import ModuleIR
+def _run_lint(args, names: list[str]) -> int:
+    """Build, print and judge lint families: the one printer and exit
+    rule behind every ``lint`` flag and ``transval``.
 
-    fns = _lint_corpus(args)
-    module = ModuleIR(name=args.module or "kernel_library")
-    for fn in fns:
-        module.add(fn.ir)
-
-    passes = tuple(args.passes) if args.passes else tuple(PASSES)
-    unknown = [p for p in passes if p not in PASSES]
-    if unknown:
-        raise argparse.ArgumentTypeError(
-            f"unknown pass(es): {', '.join(unknown)} "
-            f"(available: {', '.join(PASSES)})")
-    options = AnalysisOptions(
-        bounds=LaunchBounds.of(block=args.block, grid=args.grid),
-        extents=dict(args.extent) if args.extent else None,
-        passes=passes,
-    )
-    return analyze_module(module, options), len(fns)
-
-
-def _lint_all(args) -> int:
-    """``lint --all``: all five lint families, one merged report.
-
-    Exit code is the worst across the families, each judged by its own
-    contract (kernelsan/transval: errors exit 1; routes/perf/traces:
-    errors exit 2, warnings exit 1).
+    One family prints under its own SARIF tool name and text footer.
+    Several (``lint --all``) print one merged ``gpu-compat-lint`` run,
+    each family's findings under its ``[name]`` label, and exit with the
+    worst family status.
     """
     from repro.analysis.diagnostics import LintReport, to_sarif_json
-    from repro.analysis.perfstat import lint_perf
-    from repro.analysis.routes_evidence import cross_check
-    from repro.analysis.tracesan import lint_traces
-    from repro.analysis.transval import shipped_translators, validate_all
-    from repro.perfport import DEFAULT_N, DEFAULT_REPS, PerfParams
-    from repro.service import MatrixService
+    from repro.analysis.families import FAMILIES
 
-    kern_report, nkernels = _kernelsan_report(args)
-    params = PerfParams(
-        n=args.n if args.n is not None else DEFAULT_N,
-        reps=args.reps if args.reps is not None else DEFAULT_REPS)
-    service = MatrixService(jobs=args.jobs, store=args.store,
-                            perf_params=params)
-    families = [
-        ("kernelsan", kern_report, 1),
-        ("routes", cross_check(), 2),
-        ("transval", validate_all(shipped_translators()), 1),
-        ("perfstat", lint_perf(service.perf), 2),
-        ("tracesan", lint_traces(), 2),
-    ]
-    merged = LintReport()
-    status = 0
-    for _name, report, error_exit in families:
-        merged.extend(report.diagnostics)
-        if report.errors:
-            status = max(status, error_exit)
-        elif report.warnings and error_exit == 2:
-            status = max(status, 1)
+    runs = {}
+    for name in names:
+        inputs, counts = _lint_inputs(name, args)
+        report, agreement = FAMILIES[name].build(*inputs)
+        runs[name] = report, {**counts, **(agreement or {})}
+    merged = LintReport([d for report, _ in runs.values()
+                         for d in report.diagnostics])
     if args.format == "sarif":
-        print(to_sarif_json(merged, tool_name="gpu-compat-lint"))
+        tool = (FAMILIES[names[0]].tool if len(names) == 1
+                else "gpu-compat-lint")
+        print(to_sarif_json(merged, tool_name=tool))
     elif args.format == "json":
         print(merged.to_json())
+    elif len(names) == 1:
+        name = names[0]
+        report, facts = runs[name]
+        # kernelsan groups its findings by kernel, worst first
+        lines = ([report.render()] if name == "kernelsan"
+                 else [d.render() for d in report.diagnostics])
+        lines.append(_FOOTERS[name].format(summary=report.summary_line(),
+                                           **facts))
+        print("\n".join(lines))
     else:
-        for name, report, _error_exit in families:
+        for name, (report, _facts) in runs.items():
             for d in report.diagnostics:
                 print(d.render())
             print(f"[{name}] {report.summary_line()}")
-        print(f"lint --all: {len(families)} families over {nkernels} "
-              f"kernel(s): {merged.summary_line()}")
-    return status
+        print(f"lint --all: {len(runs)} families over "
+              f"{runs['kernelsan'][1]['kernels']} kernel(s): "
+              f"{merged.summary_line()}")
+    return max(FAMILIES[name].exit_status(report)
+               for name, (report, _facts) in runs.items())
 
 
 def cmd_lint(args) -> int:
-    picked = [flag for flag, on in (("--routes", args.routes),
-                                    ("--perf", args.perf),
-                                    ("--traces", args.traces),
-                                    ("--all", args.all)) if on]
+    from repro.analysis.families import FAMILIES, SERVED
+
+    picked = [flag for flag in ("routes", "perf", "traces", "all")
+              if getattr(args, flag)]
     if len(picked) > 1:
         raise argparse.ArgumentTypeError(
-            f"{' and '.join(picked)} are mutually exclusive")
-    if args.routes:
-        return _lint_routes(args)
-    if args.perf:
-        return _lint_perf(args)
-    if args.traces:
-        return _lint_traces(args)
+            f"{' and '.join('--' + flag for flag in picked)} are mutually "
+            f"exclusive")
     if args.all:
-        return _lint_all(args)
-    report, nkernels = _kernelsan_report(args)
-    if args.format == "sarif":
-        from repro.analysis.diagnostics import to_sarif_json
-
-        print(to_sarif_json(report))
-    elif args.format == "json":
-        print(report.to_json())
-    else:
-        out = report.render()
-        if out:
-            print(out)
-        print(f"linted {nkernels} kernel(s): {report.summary_line()}")
-    return 1 if report.errors else 0
+        return _run_lint(args, list(FAMILIES))
+    return _run_lint(args, [SERVED[picked[0]]] if picked else ["kernelsan"])
 
 
 def cmd_transval(args) -> int:
-    from repro.analysis.transval import shipped_translators, validate_all
-
-    translators = shipped_translators()
-    report = validate_all(translators)
-    if args.format == "sarif":
-        from repro.analysis.diagnostics import to_sarif_json
-
-        print(to_sarif_json(report, tool_name="transval"))
-    elif args.format == "json":
-        print(report.to_json())
-    else:
-        for d in report.diagnostics:
-            print(d.render())
-        names = ", ".join(
-            f"{t.NAME}({t.SOURCE_MODEL.value})" for t in translators)
-        print(f"validated {len(translators)} translator instance(s) "
-              f"[{names}]: {report.summary_line()}")
-    return 1 if report.errors else 0
+    return _run_lint(args, ["transval"])
 
 
 def _resolve_jit_kernel(spec: str):
@@ -635,65 +557,51 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _perf_static(service, client, args) -> int:
-    """``perf --static``: the predicted matrix, zero kernel executions."""
+def _print_perf(args, resp, rows: list[dict], lead: list[str],
+                note: str) -> int:
+    """One perf matrix, measured or predicted, in ``--format``: ``resp``
+    holds its cells and ``rows`` its portability rows; a text report
+    opens with the ``lead`` lines and closes with ``note``."""
     import json
 
     from repro.enums import VENDOR_ORDER
-    from repro.perfport.portability import portability_report
-    from repro.workloads.babelstream import stream_totals
 
-    resp = client.perf_static()
-    static = service.ensure_static_perf_built()
-    rows = portability_report(static)
     if args.format == "json":
         print(json.dumps({
             "schema_version": resp.schema_version,
             "params": resp["params"],
             "cells": resp["cells"],
-            "portability": [
-                {"model": row.model.value,
-                 "language": row.language.value,
-                 "metric": row.metric,
-                 "supported_everywhere": row.supported_everywhere,
-                 "cascade": [{"vendor": e.vendor.value,
-                              "efficiency": e.efficiency,
-                              "route_id": e.route_id}
-                             for e in row.cascade]}
-                for row in rows
-            ],
+            "portability": rows,
         }, indent=1))
         return 0
     if args.format == "csv":
         print("vendor,model,language,supported,efficiency,best_route")
-        for c in resp.cells:
+        for c in resp["cells"]:
             print(f"{c['vendor']},{c['model']},{c['language']},"
                   f"{int(c['supported'])},{c['efficiency']!r},"
                   f"{c['best_route'] or ''}")
         return 0
-    totals = stream_totals()
-    print(f"predicted {static.n_cells} cells statically; stream kernel "
-          f"executions this run: {totals['kernels']}")
+    print("\n".join(lead))
     vendors = [v.value for v in VENDOR_ORDER]
     print()
     header = "  ".join(f"{v:>8}" for v in vendors)
     print(f"{'model':<14} {'lang':<8} {'PP':>8}  {header}")
     for row in rows:
-        by_vendor = {e.vendor.value: e.efficiency for e in row.cascade}
+        by_vendor = {e["vendor"]: e["efficiency"] for e in row["cascade"]}
         cells = "  ".join(f"{by_vendor.get(v, 0.0):>8.4f}" for v in vendors)
-        print(f"{row.model.value:<14} {row.language.value:<8} "
-              f"{row.metric:>8.4f}  {cells}")
-    print("\nPP = Pennycook performance-portability metric, computed here "
-          "on perfstat's static cost-model predictions (no kernel ran)")
+        print(f"{row['model']:<14} {row['language']:<8} "
+              f"{row['metric']:>8.4f}  {cells}")
+    print(note)
     return 0
 
 
 def cmd_perf(args) -> int:
-    """Performance-portability matrix over every viable route."""
-    import json
-
+    """Performance-portability matrix over every viable route; with
+    ``--static``, perfstat's predicted matrix (zero kernel executions)."""
+    from repro.data.perfref import PERF_REFERENCES, reference_fraction
     from repro.enums import VENDOR_ORDER
     from repro.perfport import DEFAULT_N, DEFAULT_REPS, PerfParams
+    from repro.perfport.portability import portability_report
     from repro.service import InProcessClient, MatrixService
     from repro.workloads.babelstream import stream_totals
 
@@ -704,55 +612,33 @@ def cmd_perf(args) -> int:
                             store=args.store, perf_params=params)
     client = InProcessClient(service)
     if args.static:
-        return _perf_static(service, client, args)
-    matrix_resp = client.perf_matrix()
-    port_resp = client.perf_portability()
-
-    if args.format == "json":
-        print(json.dumps({
-            "schema_version": matrix_resp.schema_version,
-            "params": matrix_resp["params"],
-            "cells": matrix_resp["cells"],
-            "portability": port_resp["rows"],
-        }, indent=1))
-        return 0
-    if args.format == "csv":
-        print("vendor,model,language,supported,efficiency,best_route")
-        for c in matrix_resp.cells:
-            print(f"{c['vendor']},{c['model']},{c['language']},"
-                  f"{int(c['supported'])},{c['efficiency']!r},"
-                  f"{c['best_route'] or ''}")
-        return 0
-
-    report = service.ensure_perf_built()
-    print(f"evaluated {report.summary_line()}")
-    totals = stream_totals()
-    print(f"stream kernel executions this run: {totals['kernels']}")
-    vendors = [v.value for v in VENDOR_ORDER]
-    print()
-    header = "  ".join(f"{v:>8}" for v in vendors)
-    print(f"{'model':<14} {'lang':<8} {'PP':>8}  {header}")
-    for row in port_resp.rows:
-        by_vendor = {e["vendor"]: e["efficiency"] for e in row["cascade"]}
-        cells = "  ".join(f"{by_vendor.get(v, 0.0):>8.4f}" for v in vendors)
-        print(f"{row['model']:<14} {row['language']:<8} "
-              f"{row['metric']:>8.4f}  {cells}")
-    print("\nPP = Pennycook performance-portability metric (harmonic mean "
-          "of achieved fraction of peak over the vendor set; 0 if any "
-          "vendor is unsupported)")
-    from repro.data.perfref import PERF_REFERENCES, reference_fraction
-
+        resp = client.perf_static()
+        static = service.ensure_static_perf_built()
+        rows = [row.to_dict() for row in portability_report(static)]
+        return _print_perf(args, resp, rows, [
+            f"predicted {static.n_cells} cells statically; stream kernel "
+            f"executions this run: {stream_totals()['kernels']}"],
+            "\nPP = Pennycook performance-portability metric, computed "
+            "here on perfstat's static cost-model predictions (no kernel "
+            "ran)")
+    resp = client.perf_matrix()
+    rows = client.perf_portability().rows
     anchors = ", ".join(
         f"{v.value} {reference_fraction(v):.2f} ({PERF_REFERENCES[v].device})"
         for v in VENDOR_ORDER)
-    print(f"published BabelStream triad fractions of peak for scale: "
-          f"{anchors}")
-    return 0
+    return _print_perf(args, resp, rows, [
+        f"evaluated {service.ensure_perf_built().summary_line()}",
+        f"stream kernel executions this run: {stream_totals()['kernels']}"],
+        "\nPP = Pennycook performance-portability metric (harmonic mean of "
+        "achieved fraction of peak over the vendor set; 0 if any vendor is "
+        "unsupported)\npublished BabelStream triad fractions of peak for "
+        f"scale: {anchors}")
 
 
 def cmd_serve(args) -> int:
     """Serve the matrix over the loopback JSON API until interrupted."""
     from repro.service import MatrixService, make_server
+    from repro.service.server import ENDPOINTS
 
     service = MatrixService(jobs=args.jobs, execution=args.execution,
                             read_only=args.read_only, store=args.store)
@@ -763,10 +649,7 @@ def cmd_serve(args) -> int:
     host, port = server.server_address
     mode = " [read-only]" if args.read_only else ""
     print(f"serving the compatibility matrix on http://{host}:{port}{mode} "
-          f"(endpoints: /healthz /cell/V/M/L /table /advise /lint/routes "
-          f"/lint/perf /metrics /perf/matrix /perf/cell/V/M/L "
-          f"/perf/portability /perf/static /admin/stores "
-          f"/admin/stores/clear; Ctrl-C to stop)")
+          f"(endpoints: {' '.join(ENDPOINTS)}; Ctrl-C to stop)")
     try:
         server.serve_forever()
     except KeyboardInterrupt:
@@ -849,7 +732,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--trace-mode", choices=("on", "off"), default=None,
         help="force the interpreter's trace compiler on or off for this "
-             "run (default: on, unless REPRO_TRACE_MODE=off)")
+             "run (default: on)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_table = sub.add_parser("table", help="render Figure 1")

@@ -69,6 +69,37 @@ class Model(enum.Enum):
         return self.value
 
 
+#: Spellings the parsers accept beyond a member's value.
+_ALIASES = {"cpp": Language.CPP, "cxx": Language.CPP,
+            "f": Language.FORTRAN, "py": Language.PYTHON}
+
+
+def _parse(axis: type[enum.Enum], text: str):
+    """The ``axis`` member ``text`` names by value (any case) or alias;
+    ``ValueError("unknown <axis> '<text>'")`` when it names none."""
+    key = text.lower()
+    found = _ALIASES.get(key) or next(
+        (m for m in axis if m.value.lower() == key), None)
+    if not isinstance(found, axis):
+        raise ValueError(f"unknown {axis.__name__.lower()} '{text}'")
+    return found
+
+
+def parse_vendor(text: str) -> Vendor:
+    """The vendor ``text`` names; ``ValueError`` if it names none."""
+    return _parse(Vendor, text)
+
+
+def parse_model(text: str) -> Model:
+    """The model ``text`` names; ``ValueError`` if it names none."""
+    return _parse(Model, text)
+
+
+def parse_language(text: str) -> Language:
+    """The language ``text`` names; ``ValueError`` if it names none."""
+    return _parse(Language, text)
+
+
 #: Column order used by Figure 1.
 MODEL_ORDER = (
     Model.CUDA,

@@ -91,8 +91,6 @@ _MAX_TRACE_INSTRS = 512
 #: The bailout-reason taxonomy (see module docstring).
 BAILOUT_REASONS = ("shuffle", "atomic_cas", "exit", "too_large", "unsupported")
 
-_ENV_VAR = "REPRO_TRACE_MODE"
-
 _MAX_LOOP_TRIPS = 10_000_000  # keep in sync with interpreter._MAX_LOOP_TRIPS
 
 
@@ -131,18 +129,10 @@ _default_mode: bool | None = None
 
 
 def default_trace_mode() -> bool:
-    """Process default for ``trace_mode=None`` executors.
-
-    ``set_default_trace_mode()`` wins; otherwise the ``REPRO_TRACE_MODE``
-    environment variable (``off``/``0``/``false``/``no`` disable), and
-    tracing is on by default.
-    """
-    if _default_mode is not None:
-        return _default_mode
-    import os
-
-    raw = os.environ.get(_ENV_VAR, "on").strip().lower()
-    return raw not in ("off", "0", "false", "no")
+    """Process default for ``trace_mode=None`` executors: on, unless
+    ``set_default_trace_mode()`` (or ``gpu-compat --trace-mode``) says
+    otherwise."""
+    return True if _default_mode is None else _default_mode
 
 
 def set_default_trace_mode(mode: bool | None) -> None:

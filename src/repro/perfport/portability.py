@@ -44,6 +44,18 @@ class PortabilityRow:
     def supported_everywhere(self) -> bool:
         return all(e.efficiency > 0 for e in self.cascade)
 
+    def to_dict(self) -> dict:
+        """The JSON row of ``/perf/portability`` and ``perf --format json``."""
+        return {
+            "model": self.model.value,
+            "language": self.language.value,
+            "metric": self.metric,
+            "supported_everywhere": self.supported_everywhere,
+            "cascade": [{"vendor": e.vendor.value,
+                         "efficiency": e.efficiency,
+                         "route_id": e.route_id} for e in self.cascade],
+        }
+
 
 def pennycook_metric(efficiencies: list[float]) -> float:
     """⫫ over one platform set: harmonic mean, 0 if any platform is 0."""

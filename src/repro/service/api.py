@@ -313,6 +313,8 @@ class AdviseResponse(ApiResponse):
 
 
 class LintReportResponse(ApiResponse):
+    """``/lint?family=F``: one lint family's report."""
+
     @property
     def diagnostics(self) -> list[dict]:
         return self.payload["diagnostics"]
@@ -320,6 +322,12 @@ class LintReportResponse(ApiResponse):
     @property
     def counts(self) -> dict:
         return self.payload["counts"]
+
+    @property
+    def agreement(self) -> dict | None:
+        """The ``perf`` or ``traces`` agreement rollup (``None`` for
+        ``routes``)."""
+        return self.payload.get("agreement")
 
 
 class MetricsResponse(ApiResponse):
@@ -447,22 +455,6 @@ class KernelSubmitResponse(ApiResponse):
         return self.payload["vendors"]
 
 
-class PerfLintResponse(LintReportResponse):
-    """``/lint/perf``: a lint report plus the agreement rollup."""
-
-    @property
-    def agreement(self) -> dict:
-        return self.payload["agreement"]
-
-
-class TraceLintResponse(LintReportResponse):
-    """``/lint/traces``: tracesan's report plus the agreement rollup."""
-
-    @property
-    def agreement(self) -> dict:
-        return self.payload["agreement"]
-
-
 # -- the client protocol ------------------------------------------------------
 
 
@@ -480,7 +472,7 @@ class MatrixClient(Protocol):
     def advise(self, vendor: str | None = None, model: str | None = None,
                language: str = "c++") -> AdviseResponse: ...
 
-    def lint_report(self) -> LintReportResponse: ...
+    def lint(self, family: str) -> LintReportResponse: ...
 
     def metrics(self) -> MetricsResponse: ...
 
@@ -493,9 +485,12 @@ class MatrixClient(Protocol):
 
     def perf_static(self) -> StaticPerfResponse: ...
 
-    def lint_perf(self) -> PerfLintResponse: ...
+    # Deprecated aliases of ``lint(family)``, kept for one release.
+    def lint_report(self) -> LintReportResponse: ...
 
-    def lint_traces(self) -> TraceLintResponse: ...
+    def lint_perf(self) -> LintReportResponse: ...
+
+    def lint_traces(self) -> LintReportResponse: ...
 
     def submit_kernel(self, source: str, name: str | None = None,
                       signature: str | None = None,

@@ -9,8 +9,9 @@ over a loopback JSON API served by :func:`make_server`.  Both implement
 the :class:`repro.service.api.MatrixClient` protocol and return the
 typed responses from :mod:`repro.service.api`.
 
-Endpoints (all GET, all JSON, all stamped with ``schema_version``;
-errors use the ``{"error": {"code", "message"}}`` envelope):
+Endpoints (GET unless marked POST; all JSON, all stamped with
+``schema_version``; errors use the ``{"error": {"code", "message"}}``
+envelope).  :data:`ENDPOINTS` lists the same paths for ``serve``:
 
 ====================================  =======================================
 path                                  payload
@@ -23,7 +24,15 @@ path                                  payload
 ``/advise?vendor=V&language=L``       route recommendations (also
                                       ``model=M&language=L``; neither:
                                       portable models per language)
-``/lint/routes``                      static route-evidence cross-check
+``/lint?family=F``                    one lint family's report: ``routes``
+                                      (static route evidence vs. the
+                                      paper), ``perf`` (static-vs-measured
+                                      perf cross-check + cost-model notes)
+                                      or ``traces`` (tracesan sweep, zero
+                                      kernel executions); ``perf`` and
+                                      ``traces`` add an agreement rollup
+``/lint/routes``, ``/lint/perf``,     ``/lint?family=routes|perf|traces``
+``/lint/traces``                      under their old paths, for one release
 ``/metrics``                          scheduler/store/compile-cache/
                                       interpreter/stream counters
 ``/perf/matrix``                      per-cell efficiencies over the full
@@ -34,17 +43,15 @@ path                                  payload
                                       (model, language)
 ``/perf/static``                      perfstat's *predicted* perf matrix
                                       (zero kernel executions)
-``/lint/perf``                        static-vs-measured perf cross-check
-                                      + cost-model notes + agreement rollup
-``/lint/traces``                      tracesan static trace-validation
-                                      sweep + agreement rollup (zero
-                                      kernel executions)
 ``/admin/stores``                     operational store view: entry
                                       counts, hit/miss/corrupt counters,
                                       environment fingerprints
 ``/admin/stores/clear`` (POST)        delete every persisted cell (403
                                       ``read_only`` when the server was
                                       started with ``serve --read-only``)
+``/kernel/submit`` (POST)             compile, lint and rate a user kernel
+                                      (413 ``payload_too_large`` above
+                                      the source or body size cap)
 ====================================  =======================================
 
 Schema v4: ``/healthz`` and ``/metrics`` additionally carry a typed
@@ -63,11 +70,18 @@ from __future__ import annotations
 
 import json
 import urllib.parse
+import warnings
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable
 
 from repro import memo
-from repro.enums import Language, Model, SupportCategory, Vendor, all_cells
+from repro.enums import (
+    SupportCategory,
+    all_cells,
+    parse_language,
+    parse_model,
+    parse_vendor,
+)
 from repro.service.api import (
     AdminStoresResponse,
     AdviseResponse,
@@ -82,7 +96,6 @@ from repro.service.api import (
     NotFoundError,
     PayloadTooLargeError,
     PerfCellResponse,
-    PerfLintResponse,
     PerfMatrixResponse,
     PortabilityResponse,
     ReadOnlyError,
@@ -90,7 +103,6 @@ from repro.service.api import (
     StaticPerfResponse,
     StoresClearResponse,
     TableResponse,
-    TraceLintResponse,
     check_schema_version,
     error_envelope,
     error_from_payload,
@@ -116,32 +128,30 @@ __all__ = [
 ]
 
 
-def _parse_vendor(text: str) -> Vendor:
-    for v in Vendor:
-        if v.value.lower() == text.lower():
-            return v
-    raise NotFoundError(f"unknown vendor '{text}'")
-
-
-def _parse_model(text: str) -> Model:
-    for m in Model:
-        if m.value.lower() == text.lower():
-            return m
-    raise NotFoundError(f"unknown model '{text}'")
-
-
-_LANGUAGE_ALIASES = {
-    "c++": Language.CPP, "cpp": Language.CPP, "cxx": Language.CPP,
-    "fortran": Language.FORTRAN, "f": Language.FORTRAN,
-    "python": Language.PYTHON, "py": Language.PYTHON,
-}
-
-
-def _parse_language(text: str) -> Language:
+def _parse(parse, text: str):
+    """A Figure-1 axis parsed by :mod:`repro.enums`; unknown names 404."""
     try:
-        return _LANGUAGE_ALIASES[text.lower()]
-    except KeyError:
-        raise NotFoundError(f"unknown language '{text}'") from None
+        return parse(text)
+    except ValueError as exc:
+        raise NotFoundError(str(exc)) from None
+
+
+#: Deprecated names that have already warned in this process.
+_WARNED: set[str] = set()
+
+
+def _lint_alias(family: str, name: str):
+    """A one-release alias of ``lint(family)`` that warns once per process."""
+    def alias(self):
+        if name not in _WARNED:
+            _WARNED.add(name)
+            warnings.warn(f"{name}() is deprecated; use lint({family!r})",
+                          DeprecationWarning, stacklevel=2)
+        return self.lint(family)
+
+    alias.__name__ = name.rpartition(".")[2]
+    alias.__doc__ = f"Deprecated: ``lint({family!r})``, for one release."
+    return alias
 
 
 class MatrixService:
@@ -251,9 +261,9 @@ class MatrixService:
         }
 
     def cell(self, vendor: str, model: str, language: str) -> dict:
-        v = _parse_vendor(vendor)
-        m = _parse_model(model)
-        l = _parse_language(language)
+        v = _parse(parse_vendor, vendor)
+        m = _parse(parse_model, model)
+        l = _parse(parse_language, language)
         try:
             result = self.matrix.cell(v, m, l)
         except KeyError:
@@ -282,14 +292,14 @@ class MatrixService:
                language: str = "c++") -> dict:
         from repro.core.advisor import Advisor
 
-        lang = _parse_language(language)
+        lang = _parse(parse_language, language)
         advisor = Advisor(self.matrix, minimum=SupportCategory.LIMITED)
         if model is not None:
-            m = _parse_model(model)
+            m = _parse(parse_model, model)
             recs = advisor.platforms_for_model(m, lang)
             scope = f"platforms for {m.value} / {lang.value}"
         elif vendor is not None:
-            v = _parse_vendor(vendor)
+            v = _parse(parse_vendor, vendor)
             recs = advisor.models_for_platform(v, lang)
             scope = f"models usable on {v.value} from {lang.value}"
         else:
@@ -300,25 +310,41 @@ class MatrixService:
             }
         return {"scope": scope, "recommendations": [str(r) for r in recs]}
 
-    def _lint(self, family: str, build) -> dict:
-        """One lint family's reply, built once: ``build()`` returns
-        ``(report, summary)``; a summary becomes ``<family>_*`` gauges and
-        the reply's ``agreement``."""
+    def lint(self, family: str | None) -> dict:
+        """``/lint?family=routes|perf|traces``: one lint family's report,
+        built once per service.
+
+        ``perf`` cross-checks the static perf prediction against the
+        measured matrix; ``traces`` re-proves every trace-compiled
+        library kernel without executing it.  Their agreement rollups
+        also land in the metrics registry as ``perfstat_*`` and
+        ``tracesan_*`` gauges, so ``/metrics`` answers "is the cost model
+        (or the trace tier) still faithful" without re-running the lint.
+        """
+        from repro.analysis.families import FAMILIES, SERVED
+
+        if family not in SERVED:
+            raise BadRequestError(f"/lint needs family={'|'.join(SERVED)} "
+                                  f"(got {family!r})")
+        spec = FAMILIES[SERVED[family]]
+
         def reply():
-            report, summary = build()
+            inputs = ((self.perf, self.ensure_static_perf_built())
+                      if spec.name == "perfstat" else ())
+            report, agreement = spec.build(*inputs)
             payload = json.loads(report.to_json())
-            if summary is not None:
-                for name, value in summary.items():
-                    self.metrics.gauge(f"{family}_{name}").set(value)
-                payload["agreement"] = summary
+            if agreement is not None:
+                for name, value in agreement.items():
+                    self.metrics.gauge(f"{spec.name}_{name}").set(value)
+                payload["agreement"] = agreement
             return payload
 
-        return self._builds.get(("lint", family), reply)
+        return self._builds.get(("lint", spec.name), reply)
 
-    def lint_report(self) -> dict:
-        from repro.analysis.routes_evidence import cross_check
-
-        return self._lint("routes", lambda: (cross_check(), None))
+    lint_report = _lint_alias("routes", "MatrixService.lint_report")
+    lint_perf_report = _lint_alias("perf", "MatrixService.lint_perf_report")
+    lint_traces_report = _lint_alias("traces",
+                                     "MatrixService.lint_traces_report")
 
     def snapshot_metrics(self) -> dict:
         from repro.workloads.babelstream import stream_totals
@@ -423,9 +449,9 @@ class MatrixService:
                 "cells": cells}
 
     def perf_cell(self, vendor: str, model: str, language: str) -> dict:
-        v = _parse_vendor(vendor)
-        m = _parse_model(model)
-        l = _parse_language(language)
+        v = _parse(parse_vendor, vendor)
+        m = _parse(parse_model, model)
+        l = _parse(parse_language, language)
         perf = self.perf
         try:
             cell = perf.cells[(v, m, l)]
@@ -452,21 +478,8 @@ class MatrixService:
         from repro.perfport.portability import portability_report
 
         perf = self.perf
-        rows = []
-        for row in portability_report(perf):
-            rows.append({
-                "model": row.model.value,
-                "language": row.language.value,
-                "metric": row.metric,
-                "supported_everywhere": row.supported_everywhere,
-                "cascade": [
-                    {"vendor": e.vendor.value,
-                     "efficiency": e.efficiency,
-                     "route_id": e.route_id}
-                    for e in row.cascade
-                ],
-            })
-        return {"params": perf.params.as_dict(), "rows": rows}
+        return {"params": perf.params.as_dict(),
+                "rows": [row.to_dict() for row in portability_report(perf)]}
 
     # -- static perf (perfstat) --------------------------------------------
 
@@ -508,53 +521,6 @@ class MatrixService:
             })
         return {"params": static.params.as_dict(), "n_cells": len(cells),
                 "cells": cells}
-
-    def lint_perf_report(self) -> dict:
-        """Cost-model notes + the static-vs-measured cross-check.
-
-        Builds both matrices (dynamic measured, static predicted),
-        diffs them, and publishes the agreement rollup as gauges in the
-        metrics registry — ``/metrics`` then answers "how well is the
-        cost model tracking the interpreter" without re-running the
-        cross-check.
-        """
-        from repro.analysis.perfstat import (
-            cross_check_perf,
-            library_cost_report,
-            perf_agreement_summary,
-        )
-
-        def build():
-            dynamic, static = self.perf, self.ensure_static_perf_built()
-            report = library_cost_report()
-            report.extend(cross_check_perf(static, dynamic).diagnostics)
-            return report, perf_agreement_summary(report)
-
-        return self._lint("perfstat", build)
-
-    def lint_traces_report(self) -> dict:
-        """tracesan's static trace-validation sweep over the library.
-
-        Purely static — trace-compiles every library kernel at its
-        canonical geometry and re-proves the generated program
-        equivalent to the IR without executing either.  The agreement
-        rollup lands in the metrics registry as ``tracesan_*`` gauges,
-        so ``/metrics`` answers "is the trace tier still faithful"
-        without re-running the sweep.
-        """
-        from repro.analysis.tracesan import (
-            trace_agreement_summary,
-            traces_lint_report,
-            validate_library,
-        )
-
-        def build():
-            results = validate_library()
-            return (traces_lint_report(results),
-                    trace_agreement_summary(results))
-
-        return self._lint("tracesan", build)
-
 
     # -- kernel submission (the bring-your-own-kernel endpoint) ------------
 
@@ -613,6 +579,15 @@ class MatrixService:
 
 # -- shared request routing ---------------------------------------------------
 
+#: Every path :func:`dispatch` serves, as the ``serve`` banner lists them
+#: (``V/M/L``: a vendor, model and language; ``F``: a lint family).
+ENDPOINTS = (
+    "/healthz", "/cell/V/M/L", "/table", "/advise", "/lint?family=F",
+    "/lint/routes", "/lint/perf", "/lint/traces", "/metrics", "/perf/matrix",
+    "/perf/cell/V/M/L", "/perf/portability", "/perf/static", "/admin/stores",
+    "/admin/stores/clear", "/kernel/submit",
+)
+
 
 def dispatch(service: MatrixService, parts: list[str],
              q: Callable[[str, str | None], str | None],
@@ -636,12 +611,10 @@ def dispatch(service: MatrixService, parts: list[str],
         payload = service.advise(
             vendor=q("vendor", None), model=q("model", None),
             language=q("language", "c++"))
-    elif parts == ["lint", "routes"]:
-        payload = service.lint_report()
-    elif parts == ["lint", "perf"]:
-        payload = service.lint_perf_report()
-    elif parts == ["lint", "traces"]:
-        payload = service.lint_traces_report()
+    elif parts == ["lint"]:
+        payload = service.lint(q("family", None))
+    elif parts in (["lint", "routes"], ["lint", "perf"], ["lint", "traces"]):
+        payload = service.lint(parts[1])  # one-release aliases of /lint
     elif parts == ["metrics"]:
         payload = service.snapshot_metrics()
     elif parts == ["perf", "matrix"]:
@@ -698,8 +671,12 @@ class _BaseClient:
             params["model"] = model
         return AdviseResponse(self._request(["advise"], params))
 
-    def lint_report(self) -> LintReportResponse:
-        return LintReportResponse(self._request(["lint", "routes"]))
+    def lint(self, family: str) -> LintReportResponse:
+        return LintReportResponse(self._request(["lint"], {"family": family}))
+
+    lint_report = _lint_alias("routes", "MatrixClient.lint_report")
+    lint_perf = _lint_alias("perf", "MatrixClient.lint_perf")
+    lint_traces = _lint_alias("traces", "MatrixClient.lint_traces")
 
     def metrics(self) -> MetricsResponse:
         return MetricsResponse(self._request(["metrics"]))
@@ -717,12 +694,6 @@ class _BaseClient:
 
     def perf_static(self) -> StaticPerfResponse:
         return StaticPerfResponse(self._request(["perf", "static"]))
-
-    def lint_perf(self) -> PerfLintResponse:
-        return PerfLintResponse(self._request(["lint", "perf"]))
-
-    def lint_traces(self) -> TraceLintResponse:
-        return TraceLintResponse(self._request(["lint", "traces"]))
 
     def admin_stores(self) -> AdminStoresResponse:
         return AdminStoresResponse(self._request(["admin", "stores"]))
@@ -845,23 +816,37 @@ class _Handler(BaseHTTPRequestHandler):
     def do_GET(self) -> None:  # noqa: N802 - stdlib naming
         self._handle(body=None)
 
+    def _reject(self, err: _ServiceError) -> None:
+        """Refuse a body that never reaches the service, counting it
+        when it was a kernel submission (that endpoint owns the
+        counters)."""
+        if self.path.strip("/").startswith("kernel/"):
+            self.service.metrics.counter("jit_submissions_total").inc()
+            self.service.count_rejection(err.code)
+        self._send(err.status, error_envelope(err))
+
     def do_POST(self) -> None:  # noqa: N802 - stdlib naming
+        from repro.jit import MAX_SOURCE_BYTES
+
         try:
             length = int(self.headers.get("Content-Length", "0"))
         except ValueError:
             length = 0
+        # JSON escapes a source byte into at most six, so this cap fits any
+        # source at its own; a larger body is answered unread, and no
+        # handler thread waits on bytes that may never come.
+        limit = 8 * MAX_SOURCE_BYTES
+        if length > limit:
+            self.close_connection = True
+            self._reject(PayloadTooLargeError(
+                f"request body exceeds the {limit}-byte limit"))
+            return
         raw = self.rfile.read(length) if length > 0 else b""
         try:
             body = json.loads(raw.decode("utf-8", errors="replace")) \
                 if raw else {}
         except json.JSONDecodeError:
-            # a corrupt body never reaches the service, so count it here
-            # (only for the submission endpoint — it owns the counters)
-            if self.path.strip("/").startswith("kernel/"):
-                self.service.metrics.counter("jit_submissions_total").inc()
-                self.service.count_rejection(BadRequestError.code)
-            err = BadRequestError("request body is not valid JSON")
-            self._send(err.status, error_envelope(err))
+            self._reject(BadRequestError("request body is not valid JSON"))
             return
         self._handle(body=body)
 

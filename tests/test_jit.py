@@ -558,6 +558,31 @@ def test_submit_limits_and_bad_requests(service, http_client):
         http_client.submit_kernel(big)
 
 
+def test_oversized_body_is_refused_before_it_is_read(service, http_client):
+    """A body above the cap gets its 413 unread.  This request declares
+    1 MiB and sends a few bytes, so a server that waited for the rest
+    would not answer within the client's timeout."""
+    import http.client
+
+    counter = service.metrics.counter("jit_rejections_total_payload_too_large")
+    before = counter.value
+    conn = http.client.HTTPConnection(http_client.host, http_client.port,
+                                      timeout=5)
+    try:
+        conn.request("POST", "/kernel/submit", body=b'{"source": "',
+                     headers={"Content-Type": "application/json",
+                              "Content-Length": str(1 << 20)})
+        response = conn.getresponse()
+        payload = json.loads(response.read())
+    finally:
+        conn.close()
+    assert response.status == 413
+    assert payload["error"]["code"] == "payload_too_large"
+    assert counter.value == before + 1
+    # A submission under the cap is still served.
+    assert http_client.submit_kernel(SUBMIT_SRC).kernel == "scale"
+
+
 def test_submit_metrics_by_error_code(service):
     from repro.service import InProcessClient, KernelRejectedError
 

@@ -178,8 +178,9 @@ def test_library_cost_report_flags_only_the_data_dependent_kernel():
 
 
 def test_lint_perf_end_to_end(dynamic):
-    report = lint_perf(dynamic)
+    report, agreement = lint_perf(dynamic)
     assert report.errors == []
     codes = {d.code for d in report.diagnostics}
     assert codes <= {"PS03", "PS05", "PS06"}
+    assert agreement == perf_agreement_summary(report)
     assert PS_TOLERANCE == 2.0  # the documented gate the report is cut at

@@ -339,11 +339,11 @@ def test_inprocess_client_advise_and_lint(service):
     assert "AMD" in advice["scope"]
     by_model = client.advise(model="SYCL", language="c++")
     assert by_model["recommendations"]
-    report = client.lint_report()
+    report = client.lint("routes")
     assert "diagnostics" in report and "counts" in report
     # Built once per service, with no agreement rollup of its own.
-    assert service.lint_report() is service.lint_report()
-    assert "agreement" not in report
+    assert service.lint("routes") is service.lint("routes")
+    assert "agreement" not in report and report.agreement is None
 
 
 def test_inprocess_client_metrics(service):
@@ -420,13 +420,13 @@ def test_all_endpoints_payload_identical_across_transports(warm_store_dir):
             ("cell", ("NVIDIA", "CUDA", "c++")),
             ("table", ("markdown",)),
             ("advise", ("AMD", None, "fortran")),
-            ("lint_report", ()),
+            ("lint", ("routes",)),
             ("perf_matrix", ()),
             ("perf_cell", ("Intel", "SYCL", "c++")),
             ("perf_portability", ()),
             ("perf_static", ()),
-            ("lint_perf", ()),
-            ("lint_traces", ()),
+            ("lint", ("perf",)),
+            ("lint", ("traces",)),
             ("admin_stores", ()),
             ("metrics", ()),
         ]
@@ -479,7 +479,7 @@ def test_perfstat_endpoints_payload_and_gauges(warm_store_dir):
             assert cell["best_route"] is not None
             assert 0.0 < cell["efficiency"] < 1.0
 
-    lint = client.lint_perf()
+    lint = client.lint("perf")
     assert lint["counts"]["error"] == 0
     assert lint["counts"]["warning"] == 0
     assert lint.agreement["prediction_errors"] == 0
@@ -500,7 +500,7 @@ def test_tracesan_endpoint_payload_and_gauges():
     client = InProcessClient(svc)
 
     before = snapshot_interpreter_totals().launches
-    lint = client.lint_traces()
+    lint = client.lint("traces")
     assert snapshot_interpreter_totals().launches == before
 
     assert lint["counts"]["error"] == 0
@@ -517,7 +517,62 @@ def test_tracesan_endpoint_payload_and_gauges():
         agreement["kernels_total"]
 
     # The sweep is cached: a second request serves the same payload.
-    assert client.lint_traces().payload == lint.payload
+    assert client.lint("traces").payload == lint.payload
+
+
+def test_lint_family_query_matches_the_old_paths(warm_store_dir,
+                                                 monkeypatch):
+    """``/lint?family=F`` is the one lint endpoint: each old path, client
+    method and service method returns its payload, and each old method
+    warns once per process."""
+    import warnings
+
+    from repro.perfport import PerfParams
+    from repro.service import BadRequestError, HttpClient, NotFoundError
+    from repro.service import server as server_module
+
+    monkeypatch.setattr(server_module, "_WARNED", set())
+    svc = MatrixService(jobs=2, store=str(warm_store_dir),
+                        perf_params=PerfParams(n=1 << 12, reps=2))
+    server = make_server(svc)
+    host, port = server.server_address
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    old_client = {"routes": "lint_report", "perf": "lint_perf",
+                  "traces": "lint_traces"}
+    old_service = {"routes": "lint_report", "perf": "lint_perf_report",
+                   "traces": "lint_traces_report"}
+    try:
+        clients = (InProcessClient(svc), HttpClient(host, port))
+        for family in ("routes", "perf", "traces"):
+            expected = clients[0].lint(family).payload
+            for client in clients:
+                assert client.lint(family).payload == expected
+                assert client._request(["lint", family]) == expected
+            with pytest.warns(DeprecationWarning, match=family):
+                old = getattr(clients[0], old_client[family])()
+            assert old.payload == expected
+            with pytest.warns(DeprecationWarning, match=family):
+                got = getattr(svc, old_service[family])()
+            assert {"schema_version": expected["schema_version"],
+                    **got} == expected
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # once per process
+                for client in clients:
+                    assert getattr(client, old_client[family])().payload \
+                        == expected
+                getattr(svc, old_service[family])()
+        for client in clients:
+            for params in ({"family": "perfstat"}, {}):
+                with pytest.raises(BadRequestError) as err:
+                    client._request(["lint"], params)
+                assert err.value.status == 400
+                assert err.value.code == "bad_request"
+            with pytest.raises(NotFoundError):
+                client._request(["lint", "foo"])
+        assert len(svc._builds.entries) == 6
+    finally:
+        server.shutdown()
+        server.server_close()
 
 
 def test_http_client_rejects_schema_skew():
@@ -911,3 +966,90 @@ def test_admin_clear_requires_a_post_body():
     with pytest.raises(BadRequestError, match="POST"):
         dispatch(svc, ["admin", "stores", "clear"],
                  lambda name, default=None: default, body=None)
+
+
+# -- front doors: names, endpoint list, banner --------------------------------
+
+#: Axis -> (spellings both front doors accept, spellings both reject).
+SPELLINGS = {
+    "vendor": (["NVIDIA", "nvidia", "Intel", "amd"], ["IBM", "nv"]),
+    "model": (["CUDA", "openmp", "Kokkos", "alpaka"], ["cuda12", "py"]),
+    "language": (["c++", "CPP", "cxx", "Fortran", "f", "python", "py"],
+                 ["rust", "c", "fortran77"]),
+}
+
+
+@pytest.mark.parametrize("axis", list(SPELLINGS))
+def test_cli_and_service_parse_the_same_names(axis, service, capsys):
+    """``gpu-compat advise`` and ``/advise`` share one parser per axis."""
+    from repro import cli
+    from repro.service import NotFoundError
+
+    def cli_args(text):
+        if axis == "language":
+            return ["advise", "--vendor", "NVIDIA", "--language", text]
+        return ["advise", f"--{axis}", text]
+
+    def service_kwargs(text):
+        return ({"vendor": "NVIDIA", "language": text}
+                if axis == "language" else {axis: text})
+
+    accepted, rejected = SPELLINGS[axis]
+    for text in accepted:
+        assert cli.main(cli_args(text)) == 0, text
+        assert service.advise(**service_kwargs(text))["recommendations"]
+    capsys.readouterr()
+    for text in rejected:
+        message = f"unknown {axis} '{text}'"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(cli_args(text))
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.strip().endswith(message)
+        with pytest.raises(NotFoundError, match=message):
+            service.advise(**service_kwargs(text))
+
+
+def test_serve_banner_lists_every_endpoint(monkeypatch, capsys):
+    import repro.service
+    from repro import cli
+
+    class _Server:
+        server_address = ("127.0.0.1", 8951)
+
+        def serve_forever(self):
+            raise KeyboardInterrupt
+
+        def server_close(self):
+            pass
+
+    monkeypatch.setattr(repro.service, "make_server",
+                        lambda service, host, port: _Server())
+    assert cli.main(["serve", "--lazy"]) == 0
+    banner = capsys.readouterr().out
+    for path in ("/lint/traces", "/kernel/submit", "/lint?family=F",
+                 "/healthz"):
+        assert f" {path} " in banner or f" {path};" in banner, path
+
+
+def test_every_listed_endpoint_dispatches(warm_store_dir):
+    """No path the banner lists is a 404 (read-only, so the clear is a
+    typed 403 and the shared store survives)."""
+    import urllib.parse
+
+    from repro.perfport import PerfParams
+    from repro.service import ServiceError
+    from repro.service.server import ENDPOINTS
+
+    svc = MatrixService(jobs=2, store=str(warm_store_dir), read_only=True,
+                        perf_params=PerfParams(n=1 << 12, reps=2))
+    client = InProcessClient(svc)
+    for path in ENDPOINTS:
+        path = path.replace("V/M/L", "NVIDIA/CUDA/C++")
+        route, _, query = path.replace("=F", "=traces").partition("?")
+        body = {} if route in ("/admin/stores/clear",
+                               "/kernel/submit") else None
+        try:
+            client._request(route.strip("/").split("/"),
+                            dict(urllib.parse.parse_qsl(query)), body)
+        except ServiceError as exc:
+            assert exc.code != "not_found", path

@@ -141,10 +141,11 @@ def test_divergence_ledger_ships_empty():
 
 
 def test_lint_traces_report_shape():
-    report = lint_traces()
+    report, agreement = lint_traces()
     assert report.errors == []
     codes = {d.code for d in report.diagnostics}
     assert codes <= {"TC04", "TC05", "TC06"}
+    assert agreement["errors"] == 0 and agreement["kernels_total"] == 27
 
 
 # -- seeded miscompiles -------------------------------------------------------
