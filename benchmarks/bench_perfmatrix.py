@@ -40,6 +40,7 @@ import sys
 import tempfile
 import time
 
+from repro import counters
 from repro.core.matrix import build_matrix
 from repro.enums import all_cells
 from repro.perfport import (
@@ -50,7 +51,7 @@ from repro.perfport import (
     run_perf_matrix,
 )
 from repro.service import MetricsRegistry
-from repro.workloads.babelstream import reset_stream_totals, stream_totals
+from repro.workloads.babelstream import stream_totals
 
 WARM_SPEEDUP_THRESHOLD = 5.0
 WARM_SPEEDUP_THRESHOLD_QUICK = 2.0
@@ -108,7 +109,7 @@ def run(quick: bool = False) -> dict:
         }
 
         warm_root = str(pathlib.Path(root) / f"cold-{repeats - 1}")
-        reset_stream_totals()
+        counters.reset("stream.")
         warm_metrics = MetricsRegistry()
         warm = timed("warm_store",
                      lambda: run_perf_matrix(4, store=warm_root,

@@ -221,12 +221,12 @@ class LintReport:
                 f"{self.count(Severity.INFO)} note(s)")
 
     def render(self) -> str:
-        """Full text report, kernels in first-seen order."""
+        """The findings as text: kernels in first-seen order, each kernel's
+        worst first (the caller adds a summary line)."""
         lines: list[str] = []
         for kernel, diags in self.by_kernel().items():
             for d in sorted(diags, key=lambda d: -int(d.severity)):
                 lines.append(d.render())
-        lines.append(self.summary_line())
         return "\n".join(lines)
 
     def to_dict(self) -> dict:

@@ -71,9 +71,9 @@ prints the same findings as one SARIF 2.1.0 run (the shared serializer
 in :mod:`repro.analysis.diagnostics`) for code-scanning upload.
 
 The global ``--stats`` flag appends a summary of compile-cache
-hit/miss counters and interpreter launch/batch totals after any
-subcommand — the observability hooks for the block-batched execution
-path and the content-keyed compile cache.
+hit/miss counters and interpreter launch/batch totals (worker processes'
+included) after any subcommand — the observability hooks for the
+block-batched execution path and the content-keyed compile cache.
 
 Exit codes (stable; scripts and CI rely on them):
 
@@ -93,7 +93,8 @@ code  meaning
       propagates the worst per-family code.  **Extension:** ``eval``/
       ``perf``/``serve`` exit 1 on a scheduler failure (a job exhausted
       its retry budget — :class:`~repro.service.SchedulerError`)
-2     usage error (argparse: unknown flag, missing operand, bad value);
+2     usage error (argparse: unknown flag, missing operand, bad value;
+      ``describe``/``advise`` of a combination Figure 1 has no cell for);
       **extension:** ``lint --routes`` also exits 2 on an RE01
       contradiction, ``lint --perf`` on a PS01 prediction error, and
       ``lint --traces`` on any TC01/TC02/TC03 — the tool's own
@@ -118,10 +119,11 @@ from repro.errors import CompileError, FrontendError, VerificationError
 
 
 def _axis(parse):
-    """An argparse type over a :mod:`repro.enums` parser (exit 2)."""
-    def convert(text: str):
+    """An argparse type over a :mod:`repro.enums` parser, also applied to
+    its checks after parsing (a ``ValueError`` exits 2)."""
+    def convert(*args):
         try:
-            return parse(text)
+            return parse(*args)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -167,6 +169,7 @@ def cmd_describe(args) -> int:
     from repro.core.routes import routes_for
     from repro.data.paper_matrix import expected
 
+    _axis(enums.require_cell)(args.vendor, args.model, args.language)
     desc = describe_cell(args.vendor, args.model, args.language)
     cell = expected(args.vendor, args.model, args.language)
     print(f"[{desc.number}] {desc.title}")
@@ -192,6 +195,7 @@ def cmd_advise(args) -> int:
 
     advisor = Advisor(minimum=SupportCategory.LIMITED)
     if args.model is not None:
+        _axis(enums.require_cell)(args.model, args.language)
         print(f"platforms for {args.model.value} / {args.language.value}:")
         for rec in advisor.platforms_for_model(args.model, args.language):
             print(f"  {rec}")
@@ -398,7 +402,7 @@ def _run_lint(args, names: list[str]) -> int:
         name = names[0]
         report, facts = runs[name]
         # kernelsan groups its findings by kernel, worst first
-        lines = ([report.render()] if name == "kernelsan"
+        lines = ([report.render()] if name == "kernelsan" and report.diagnostics
                  else [d.render() for d in report.diagnostics])
         lines.append(_FOOTERS[name].format(summary=report.summary_line(),
                                            **facts))
@@ -672,10 +676,8 @@ def _print_stats() -> None:
     from repro.compilers.toolchain import compile_cache_stats, stage_memo_stats
     from repro.isa.interpreter import snapshot_interpreter_totals
 
-    cc = compile_cache_stats().snapshot()
-    stages = stage_memo_stats().snapshot()
-    total = cc.hits + cc.misses
-    rate = f" ({cc.hits / total:.0%} hit rate)" if total else ""
+    cc, stages = compile_cache_stats(), stage_memo_stats()
+    rate = f" ({cc.hit_rate:.0%} hit rate)" if cc.total else ""
     print(f"[stats] compile cache: {cc.hits} hits, {cc.misses} misses{rate}; "
           f"stages: {stages.hits} hits, {stages.misses} misses")
     it = snapshot_interpreter_totals()

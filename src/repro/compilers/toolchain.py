@@ -89,7 +89,7 @@ def compile_cache_stats() -> memo.MemoStats:
 def stage_memo_stats() -> memo.MemoStats:
     """Process-wide stage-memo counters: one hit or miss per optimize,
     sanitize or legalize lookup made by a compile-cache miss."""
-    return _STAGES.stats
+    return memo.totals("stages")
 
 
 def clear_compile_cache() -> None:

@@ -127,6 +127,15 @@ MODEL_LANGUAGES[Model.RAJA] = (Language.CPP,)
 MODEL_LANGUAGES[Model.OPENCL] = (Language.CPP,)
 
 
+def require_cell(*axes: enum.Enum) -> None:
+    """``ValueError`` unless Figure 1 has a cell for ``axes``: a vendor,
+    model and language, or a model and language (on every vendor)."""
+    *_, model, language = axes
+    if model not in MODEL_ORDER or language not in MODEL_LANGUAGES[model]:
+        names = "/".join(axis.value for axis in axes)
+        raise ValueError(f"Figure 1 has no cell for {names}")
+
+
 class ISA(enum.Enum):
     """Virtual instruction-set architectures of the simulated devices."""
 

@@ -45,14 +45,13 @@ The interpreter also meters work (flops, bytes, atomics) per launch;
 
 from __future__ import annotations
 
-import os
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from repro import memo
+from repro import counters, memo
 from repro.errors import (
     DivergentBarrierError,
     IRError,
@@ -119,87 +118,26 @@ class LaunchStats:
         return self.bytes_loaded + self.bytes_stored
 
     def merge(self, other: "LaunchStats") -> None:
-        self.threads += other.threads
-        self.instructions += other.instructions
-        self.flops += other.flops
-        self.bytes_loaded += other.bytes_loaded
-        self.bytes_stored += other.bytes_stored
-        self.atomic_ops += other.atomic_ops
-        self.barriers += other.barriers
-        self.batches += other.batches
+        for name, value in vars(other).items():
+            setattr(self, name, getattr(self, name) + value)
 
 
-@dataclass
-class TraceTotals:
-    """Process-wide trace-compiler activity (see ``repro.isa.tracing``).
-
-    ``hits``/``misses``/``bailouts`` count trace-cache outcomes per
-    launch; ``reasons`` histograms the bailout taxonomy; the
-    ``traced_*`` counters record how much execution actually ran fused.
-    """
-
-    hits: int = 0
-    misses: int = 0
-    bailouts: int = 0
-    traced_launches: int = 0
-    traced_batches: int = 0
-    reasons: dict[str, int] = field(default_factory=dict)
-
-    def merge(self, other: "TraceTotals") -> None:
-        self.hits += other.hits
-        self.misses += other.misses
-        self.bailouts += other.bailouts
-        self.traced_launches += other.traced_launches
-        self.traced_batches += other.traced_batches
-        for reason, count in other.reasons.items():
-            self.reasons[reason] = self.reasons.get(reason, 0) + count
-
-
-@dataclass
-class InterpreterTotals:
-    """Process-wide interpreter activity (all executors, all devices).
-
-    Feeds the CLI's ``--stats`` line; cheap to maintain (one merge per
-    launch) and independent of how callers construct their systems.
-    """
-
-    launches: int = 0
-    stats: LaunchStats = field(default_factory=LaunchStats)
-    trace: TraceTotals = field(default_factory=TraceTotals)
-
-
-_TOTALS = InterpreterTotals()
-
-#: Guards the process-wide totals; the service scheduler launches
-#: kernels from N worker threads and `threads += other.threads`-style
-#: merges are not atomic in CPython.
-_TOTALS_LOCK = threading.Lock()
-
-# A forked child must not inherit the lock held by another thread.
-os.register_at_fork(
-    after_in_child=lambda: globals().update(_TOTALS_LOCK=threading.Lock()))
-
-
-def interpreter_totals() -> InterpreterTotals:
-    """The process-wide launch/batch totals (read-only use intended)."""
-    return _TOTALS
-
-
-def snapshot_interpreter_totals() -> InterpreterTotals:
-    """Consistent point-in-time copy, safe under concurrent launches."""
-    with _TOTALS_LOCK:
-        copy = InterpreterTotals(launches=_TOTALS.launches)
-        copy.stats.merge(_TOTALS.stats)
-        copy.trace.merge(_TOTALS.trace)
-        return copy
-
-
-def reset_interpreter_totals() -> None:
-    """Zero the process-wide totals (test isolation)."""
-    with _TOTALS_LOCK:
-        _TOTALS.launches = 0
-        _TOTALS.stats = LaunchStats()
-        _TOTALS.trace = TraceTotals()
+def snapshot_interpreter_totals() -> SimpleNamespace:
+    """The process-wide launch counts (:mod:`repro.counters`):
+    ``launches``, ``stats`` (every launch's work, one :class:`LaunchStats`)
+    and ``trace`` (trace-cache ``hits``, ``misses``, ``bailouts`` and
+    their ``reasons``; ``traced_launches`` run fused, ``traced_batches``)."""
+    c = counters.snapshot()
+    return SimpleNamespace(
+        launches=c["interpreter.launches"],
+        stats=LaunchStats(**{name: c["interpreter." + name]
+                             for name in LaunchStats.__dataclass_fields__}),
+        trace=SimpleNamespace(
+            hits=c["trace.hits"], misses=c["trace.misses"],
+            bailouts=c["trace.bailouts"], traced_launches=c["trace.launches"],
+            traced_batches=c["trace.batches"],
+            reasons={k.removeprefix("trace.reason."): v for k, v in c.items()
+                     if k.startswith("trace.reason.")}))
 
 
 #: Lane-geometry tables shared by every executor, keyed by
@@ -457,12 +395,11 @@ class KernelExecutor:
                 else:
                     self._run_batch(batch, args, stats, dims)
                 stats.batches += 1
-        with _TOTALS_LOCK:
-            _TOTALS.launches += 1
-            _TOTALS.stats.merge(stats)
-            if traced is not None:
-                _TOTALS.trace.traced_launches += 1
-                _TOTALS.trace.traced_batches += stats.batches
+        counts = {"interpreter." + k: v for k, v in vars(stats).items()}
+        counts["interpreter.launches"] = 1
+        if traced is not None:
+            counts["trace.launches"], counts["trace.batches"] = 1, stats.batches
+        counters.merge(counts)
         return stats
 
     # -- batch construction ------------------------------------------------

@@ -55,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro import memo
+from repro import counters, memo
 from repro.errors import DivergentBarrierError, IRError, MemoryFaultError
 from repro.gpu.memory import DeviceMemory
 from repro.isa import dtypes
@@ -180,21 +180,6 @@ def _shape_key(fingerprint: str, warp_size: int,
     return h.hexdigest()
 
 
-def _count(outcome: str, reason: str | None = None) -> None:
-    """Fold one cache outcome into the process-wide interpreter totals."""
-    from repro.isa import interpreter as _interp
-
-    with _interp._TOTALS_LOCK:
-        tr = _interp._TOTALS.trace
-        if outcome == "hit":
-            tr.hits += 1
-        elif outcome == "miss":
-            tr.misses += 1
-        else:
-            tr.bailouts += 1
-            tr.reasons[reason] = tr.reasons.get(reason, 0) + 1
-
-
 def lookup(executor, grid: tuple[int, int, int], block: tuple[int, int, int],
            blocks_per_batch: int, *,
            validate: bool = False) -> TracedProgram | None:
@@ -202,9 +187,9 @@ def lookup(executor, grid: tuple[int, int, int], block: tuple[int, int, int],
 
     Returns ``None`` (after recording the bailout) when the kernel can't
     be traced; the caller falls back to the batched interpreter.  Cache
-    outcomes (hit/miss/bailout + reason) flow into
-    ``interpreter_totals().trace``.  The kernel's fingerprint is hashed
-    on the executor's first lookup and kept on the executor.
+    outcomes count as ``trace.hits|misses|bailouts`` (and
+    ``trace.reason.<reason>``) in :mod:`repro.counters`.  The kernel's
+    fingerprint is hashed on the executor's first lookup and kept on it.
 
     ``validate=True`` additionally runs the tracesan translation
     validator (:func:`repro.analysis.tracesan.validate_program`) over the
@@ -218,11 +203,11 @@ def lookup(executor, grid: tuple[int, int, int], block: tuple[int, int, int],
         executor.trace_fingerprint = fingerprint
     key = _shape_key(fingerprint, executor.warp_size, grid, block,
                      blocks_per_batch)
-    outcome = "hit"
+    outcome = "trace.hits"
 
     def build():
         nonlocal outcome
-        outcome = "miss"
+        outcome = "trace.misses"
         try:
             compiler = _TraceCompiler(executor.kernel, executor.warp_size,
                                       grid, block, blocks_per_batch)
@@ -243,9 +228,9 @@ def lookup(executor, grid: tuple[int, int, int], block: tuple[int, int, int],
             entry.verdict = _tracesan.validate_program(
                 executor.kernel, entry.source, executor.warp_size,
                 grid, block, blocks_per_batch, key=entry.key)
-        _count(outcome)
+        counters.add(outcome)
         return entry
-    _count("bailout", entry)
+    counters.merge({"trace.bailouts": 1, "trace.reason." + entry: 1})
     return None
 
 

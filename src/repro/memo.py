@@ -6,9 +6,11 @@ rest wait and count as hits; a build may look up other keys, never its
 own, and one that raises stores nothing.  Past the bound on summed entry
 size (1 each, or ``size(entry)``) the oldest entries are evicted but the
 newest stays; ``bound=None`` (a fixed key set) evicts nothing.  Counters
-are kept per memo and per memo name.  A forked child renews every lock
-and in-flight table: one held at the fork would stay held.  Imports
-nothing from ``repro``.
+are kept per memo and, as ``memo.<name>.hits|misses|evictions`` in
+:mod:`repro.counters` (whose lock guards them all), per memo name; a
+name's summed size and bound describe this process's live memos only.
+A forked child renews every guard and in-flight table: one held at the
+fork would stay held.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ from __future__ import annotations
 import os
 import threading
 import weakref
+
+from repro import counters
 
 
 class MemoStats:
@@ -35,45 +39,50 @@ class MemoStats:
 
     def snapshot(self) -> "MemoStats":
         """Consistent point-in-time copy (safe under concurrent lookups)."""
-        with _LOCK:
+        with counters.LOCK:
             return MemoStats(**vars(self))
 
 
-#: Guards every counter.  Re-entrant, because a dead memo's finalizer
-#: may run in a garbage collection inside a section that holds it.
-_LOCK = threading.RLock()
-_TOTALS: dict[str, MemoStats] = {}
+#: Per memo name: the summed size and bound of the live memos so called.
+_SIZES: dict[str, MemoStats] = {}
+_FIELDS = ("hits", "misses", "evictions")
 _LIVE: "weakref.WeakSet[Memo]" = weakref.WeakSet()
 
 
 def totals(name: str) -> MemoStats:
-    """The counters summed over the live memos called ``name``."""
-    with _LOCK:
-        return _TOTALS.get(name) or _TOTALS.setdefault(name, MemoStats())
+    """The counters of the memos called ``name``: size and bound of the
+    live ones; hits, misses and evictions from :mod:`repro.counters`."""
+    return MemoStats(**snapshot().get(name, {}))
 
 
 def snapshot() -> dict[str, dict]:
-    """``{name: {size, bound, hits, misses, evictions}}``, by name."""
-    with _LOCK:
-        return {name: dict(vars(s)) for name, s in sorted(_TOTALS.items())}
+    """``{name: {size, bound, hits, misses, evictions}}`` for every name
+    with a memo here or counted lookups (a worker's, merged), by name."""
+    with counters.LOCK:
+        counts = counters.snapshot()
+        names = set(_SIZES) | {key[5:].rpartition(".")[0] for key in counts
+                               if key.startswith("memo.")}
+        sized = {name: _SIZES.get(name) or MemoStats() for name in names}
+        return {name: {"size": s.size, "bound": s.bound,
+                       **{f: counts[f"memo.{name}.{f}"] for f in _FIELDS}}
+                for name, s in sorted(sized.items())}
 
 
 def clear(name: str) -> None:
     """Empty every memo called ``name`` and zero its counts (a cold start)."""
-    with _LOCK:
+    with counters.LOCK:
         memos = [m for m in _LIVE if m.name == name]
-        named = _TOTALS.setdefault(name, MemoStats())
-        named.hits = named.misses = named.evictions = 0
+        counters.reset(f"memo.{name}.")
     for memo in memos:
-        with memo._guard, _LOCK:
+        with memo._guard, counters.LOCK:
             memo.entries.clear()
             stats = memo.stats
-            memo._totals.size -= stats.size
+            memo._named.size -= stats.size
             stats.size = stats.hits = stats.misses = stats.evictions = 0
 
 
 def _retire(named: MemoStats, stats: MemoStats) -> None:
-    with _LOCK:
+    with counters.LOCK:
         named.size -= stats.size
         if stats.bound is not None:
             named.bound -= stats.bound
@@ -88,11 +97,12 @@ class Memo:
         self.entries: dict = {}
         self.stats = MemoStats(bound=bound)
         self._guard, self._inflight = threading.Lock(), {}
-        with _LOCK:
-            self._totals = named = totals(name)
+        self._keys = {field: f"memo.{name}.{field}" for field in _FIELDS}
+        with counters.LOCK:
+            self._named = named = _SIZES.setdefault(name, MemoStats())
             named.bound = None if bound is None else named.bound + bound
             _LIVE.add(self)
-        weakref.finalize(self, _retire, self._totals, self.stats)
+        weakref.finalize(self, _retire, self._named, self.stats)
 
     def get(self, key, build):
         """The entry for ``key``, from ``build()`` on a miss."""
@@ -116,10 +126,10 @@ class Memo:
         """The entry for ``key`` or None, never building or counting."""
         return self.entries.get(key)
 
-    def _count(self, field: str) -> None:
-        with _LOCK:
-            for stats in (self.stats, self._totals):
-                setattr(stats, field, getattr(stats, field) + 1)
+    def _count(self, field: str, n: int = 1) -> None:
+        with counters.LOCK:
+            setattr(self.stats, field, getattr(self.stats, field) + n)
+            counters.add(self._keys[field], n)
 
     def _store(self, key, entry):
         grown, evicted = self._size(entry), 0
@@ -131,16 +141,14 @@ class Memo:
                    and self.stats.size + grown > self.bound):
                 grown -= self._size(self.entries.pop(next(iter(self.entries))))
                 evicted += 1
-            with _LOCK:
-                for stats in (self.stats, self._totals):
-                    stats.size += grown
-                    stats.evictions += evicted
+            with counters.LOCK:
+                self.stats.size += grown
+                self._named.size += grown
+                self._count("evictions", evicted)
         return entry
 
 
 def _after_fork_in_child() -> None:
-    global _LOCK
-    _LOCK = threading.RLock()
     for memo in list(_LIVE):
         memo._guard, memo._inflight = threading.Lock(), {}
 

@@ -4,14 +4,12 @@ Thread-safe counters, gauges, and latency histograms, collected by the
 scheduler, the result store, and the serving layer, and exposed at the
 server's ``/metrics`` endpoint and via ``gpu-compat eval --stats``.
 
-A snapshot also folds in the process-wide counter sets — the
-content-keyed compile cache
-(:func:`repro.compilers.toolchain.compile_cache_stats`), every memo's
-size, bound, hits, misses and evictions (:func:`repro.memo.snapshot`)
-and the interpreter launch/batch totals
-(:func:`repro.isa.interpreter.snapshot_interpreter_totals`) — so one
-document describes the whole pipeline: queue behaviour, job retries,
-store reuse, compile reuse, cache growth, and executed work.
+A snapshot also folds in the process-wide work counters of
+:mod:`repro.counters` (compile and stage memo lookups, every memo's
+size, bound, hits, misses and evictions, interpreter launches and trace
+outcomes), worker processes' work included, so one document describes
+the whole pipeline: queue behaviour, job retries, store reuse, compile
+reuse, cache growth, and executed work.
 """
 
 from __future__ import annotations
@@ -152,16 +150,15 @@ class MetricsRegistry:
 
     def snapshot(self) -> dict:
         """All service metrics plus the process-wide pipeline counters."""
-        from repro.compilers.toolchain import (compile_cache_stats,
-                                               stage_memo_stats)
         from repro.isa.interpreter import snapshot_interpreter_totals
 
         with self._lock:
             counters = dict(self._counters)
             gauges = dict(self._gauges)
             histograms = dict(self._histograms)
-        cc = compile_cache_stats().snapshot()
-        stages = stage_memo_stats().snapshot()
+        caches = memo.snapshot()
+        cc, stages = (memo.MemoStats(**caches.get(name, {}))
+                      for name in ("compile", "stages"))
         it = snapshot_interpreter_totals()
         return {
             "counters": {n: c.get() for n, c in sorted(counters.items())},
@@ -190,5 +187,5 @@ class MetricsRegistry:
                 "traced_batches": it.trace.traced_batches,
                 "bailout_reasons": dict(sorted(it.trace.reasons.items())),
             },
-            "caches": memo.snapshot(),
+            "caches": caches,
         }

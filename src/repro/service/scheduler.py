@@ -31,6 +31,13 @@ thread executor calls it in the worker thread; the process executor
 calls it in the worker process if it pickles (so it can ``os._exit``)
 and on the coordinator otherwise, where raising :class:`WorkerCrash`
 simulates a death without killing a pool.
+
+A task returns the work counts it added to :mod:`repro.counters` with
+its payload.  The process executor merges them on the coordinator for
+each completed attempt, so the coordinator's counts (``/metrics``,
+``--stats``) include its workers'; a thread already counts there.  The
+work of a process attempt that crashed, raised or timed out is lost, so
+the executors count equal work only on fault-free builds.
 """
 
 from __future__ import annotations
@@ -46,6 +53,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import KW_ONLY, dataclass
 from typing import Callable, ClassVar
 
+from repro import counters
 from repro.core.classifier import DEFAULT_THRESHOLDS, Thresholds
 from repro.core.matrix import (
     CompatibilityMatrix,
@@ -162,13 +170,14 @@ class BuildReport:
 
 
 def _entry(info: JobInfo, task: Callable, args: tuple, attempt: int,
-           fault_hook) -> tuple[object, float]:
-    """One attempt at one task, on a worker; returns (payload, seconds)."""
-    start = time.monotonic()
+           fault_hook) -> tuple[object, float, dict]:
+    """One attempt at one task, on a worker; returns (payload, seconds,
+    the work it counted in :mod:`repro.counters`)."""
+    before, start = counters.snapshot(), time.monotonic()
     if fault_hook is not None:
         fault_hook(info, attempt)
     payload = task(*args)
-    return payload, time.monotonic() - start
+    return payload, time.monotonic() - start, counters.since(before)
 
 
 def _discard(pool: concurrent.futures.Executor) -> None:
@@ -355,7 +364,7 @@ class JobEngine:
                 for future in done:
                     i, _ = inflight.pop(future)
                     try:
-                        payload, elapsed = future.result()
+                        payload, elapsed, counted = future.result()
                         if elapsed > self.timeout_s:
                             raise JobTimeout(
                                 f"{infos[i].label} took {elapsed:.3f}s "
@@ -372,6 +381,8 @@ class JobEngine:
                     except Exception as exc:
                         retry(i, exc)
                     else:
+                        if process:  # a thread counts in this table already
+                            counters.merge(counted)
                         counter(f"jobs_completed_{kind}").inc()
                         self.metrics.histogram(
                             f"job_latency_{kind}").observe(elapsed)

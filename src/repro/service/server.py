@@ -81,6 +81,7 @@ from repro.enums import (
     parse_language,
     parse_model,
     parse_vendor,
+    require_cell,
 )
 from repro.service.api import (
     AdminStoresResponse,
@@ -128,12 +129,21 @@ __all__ = [
 ]
 
 
-def _parse(parse, text: str):
-    """A Figure-1 axis parsed by :mod:`repro.enums`; unknown names 404."""
+def _parse(parse, *args):
+    """A Figure-1 axis parsed, or a combination checked, by
+    :mod:`repro.enums`; unknown names and combinations 404."""
     try:
-        return parse(text)
+        return parse(*args)
     except ValueError as exc:
         raise NotFoundError(str(exc)) from None
+
+
+def _cell(vendor: str, model: str, language: str) -> tuple:
+    """The Figure-1 cell the three names give (404 if there is none)."""
+    cell = (_parse(parse_vendor, vendor), _parse(parse_model, model),
+            _parse(parse_language, language))
+    _parse(require_cell, *cell)
+    return cell
 
 
 #: Deprecated names that have already warned in this process.
@@ -261,16 +271,7 @@ class MatrixService:
         }
 
     def cell(self, vendor: str, model: str, language: str) -> dict:
-        v = _parse(parse_vendor, vendor)
-        m = _parse(parse_model, model)
-        l = _parse(parse_language, language)
-        try:
-            result = self.matrix.cell(v, m, l)
-        except KeyError:
-            raise NotFoundError(
-                f"no cell {v.value}/{m.value}/{l.value} in the matrix "
-                f"(not a Figure 1 combination)") from None
-        return cell_to_dict(result)
+        return cell_to_dict(self.matrix.cell(*_cell(vendor, model, language)))
 
     def table(self, fmt: str = "text") -> dict:
         from repro.core.render import RENDERERS, matrix_lookup
@@ -293,13 +294,17 @@ class MatrixService:
         from repro.core.advisor import Advisor
 
         lang = _parse(parse_language, language)
-        advisor = Advisor(self.matrix, minimum=SupportCategory.LIMITED)
         if model is not None:
             m = _parse(parse_model, model)
+            _parse(require_cell, m, lang)
+        elif vendor is not None:
+            v = _parse(parse_vendor, vendor)
+        # Names first: a lazy service builds no matrix to answer a 404.
+        advisor = Advisor(self.matrix, minimum=SupportCategory.LIMITED)
+        if model is not None:
             recs = advisor.platforms_for_model(m, lang)
             scope = f"platforms for {m.value} / {lang.value}"
         elif vendor is not None:
-            v = _parse(parse_vendor, vendor)
             recs = advisor.models_for_platform(v, lang)
             scope = f"models usable on {v.value} from {lang.value}"
         else:
@@ -449,16 +454,9 @@ class MatrixService:
                 "cells": cells}
 
     def perf_cell(self, vendor: str, model: str, language: str) -> dict:
-        v = _parse(parse_vendor, vendor)
-        m = _parse(parse_model, model)
-        l = _parse(parse_language, language)
+        key = _cell(vendor, model, language)
         perf = self.perf
-        try:
-            cell = perf.cells[(v, m, l)]
-        except KeyError:
-            raise NotFoundError(
-                f"no perf cell {v.value}/{m.value}/{l.value} "
-                f"(not a Figure 1 combination)") from None
+        cell = perf.cells[key]
         best = cell.best_route(perf.params)
         return {
             "vendor": cell.vendor.value,
@@ -782,6 +780,9 @@ class _Handler(BaseHTTPRequestHandler):
     """Routes GETs to the bound :class:`MatrixService` via dispatch()."""
 
     service: MatrixService  # set by make_server on the subclass
+    #: Seconds a socket read may stall before the connection is dropped,
+    #: so a body that never arrives does not hold a handler thread.
+    timeout = 30.0
 
     # Silence the default stderr access log (the service has /metrics).
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
@@ -842,6 +843,9 @@ class _Handler(BaseHTTPRequestHandler):
                 f"request body exceeds the {limit}-byte limit"))
             return
         raw = self.rfile.read(length) if length > 0 else b""
+        if len(raw) < length:  # the client left mid-body: nobody to answer
+            self.close_connection = True
+            return
         try:
             body = json.loads(raw.decode("utf-8", errors="replace")) \
                 if raw else {}

@@ -17,13 +17,12 @@ verified against the analytically known final values.
 
 from __future__ import annotations
 
-import os
-import threading
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
+from repro import counters
 from repro import kernels as KL
 from repro.enums import Vendor
 from repro.errors import ApiError
@@ -520,26 +519,11 @@ def _verify(n: int, reps: int, arrays, dot_value: float) -> bool:
     )
 
 
-#: Process-wide execution counters ("did a warm rerun actually run any
-#: stream kernels?" is answered by diffing :func:`stream_totals`).
-_TOTALS_LOCK = threading.Lock()
-_TOTALS = {"runs": 0, "kernels": 0}
-
-# A forked child must not inherit the lock held by another thread.
-os.register_at_fork(
-    after_in_child=lambda: globals().update(_TOTALS_LOCK=threading.Lock()))
-
-
 def stream_totals() -> dict[str, int]:
-    """Snapshot of {runs, kernels} executed since the last reset."""
-    with _TOTALS_LOCK:
-        return dict(_TOTALS)
-
-
-def reset_stream_totals() -> None:
-    with _TOTALS_LOCK:
-        _TOTALS["runs"] = 0
-        _TOTALS["kernels"] = 0
+    """BabelStream ``runs`` and ``kernels`` executed, process-wide (the
+    ``stream.*`` counts of :mod:`repro.counters`)."""
+    counts = counters.snapshot()
+    return {"runs": counts["stream.runs"], "kernels": counts["stream.kernels"]}
 
 
 def execute_stream(adapter: _Adapter, reps: int, model: str,
@@ -585,9 +569,8 @@ def execute_stream(adapter: _Adapter, reps: int, model: str,
                                          device.synchronize() - t0)
     result.verified = _verify(n, reps, adapter.read_arrays(), dot_value)
     adapter.teardown()
-    with _TOTALS_LOCK:
-        _TOTALS["runs"] += 1
-        _TOTALS["kernels"] += result.kernels_executed
+    counters.merge({"stream.runs": 1,
+                    "stream.kernels": result.kernels_executed})
     return result
 
 

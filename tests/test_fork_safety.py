@@ -3,9 +3,10 @@
 The process executor forks from a coordinator that may be running other
 threads, such as ``serve``'s HTTP threads compiling a submitted kernel.
 A lock another thread holds at the fork stays held in the child
-forever, so the child renews every memo and totals lock.  Each test
-holds one lock on a parent thread across the start of a forked child
-that needs it; the child must finish its compile or launch within 10 s.
+forever, so the child renews every memo lock and the work-counter
+lock.  Each test holds one lock on a parent thread across the start of
+a forked child that needs it; the child must finish its compile or
+launch within 10 s.
 """
 
 import multiprocessing
@@ -101,13 +102,36 @@ def test_child_misses_the_stage_memo_while_its_guard_is_held():
     assert _exitcode_while_held(tc_mod._STAGES._guard, _compile) == 0
 
 
-def test_child_launches_while_the_interpreter_totals_are_held():
-    from repro.isa import interpreter
+def _launch():
+    import numpy as np
 
-    assert _exitcode_while_held(interpreter._TOTALS_LOCK, _stream) == 0
+    from repro.gpu import Device
+    from repro.gpu.specs import default_spec
+    from repro.isa import ModuleIR, legalize
+
+    mod = ModuleIR("m")
+    mod.add(KL.axpy.ir)
+    binary = legalize(mod, ISA.PTX, "test")
+    device = Device(default_spec(Vendor.NVIDIA), backing_bytes=1 << 16)
+    n = 256
+    x, y = device.alloc(n * 8), device.alloc(n * 8)
+    device.memcpy_h2d(x, np.ones(n))
+    device.memcpy_h2d(y, np.zeros(n))
+    device.launch(binary, "axpy", (1,), (256,), [n, 2.0, x, y])
+    assert (device.memcpy_d2h(y, np.float64, n) == 2.0).all()
+
+
+def test_child_launches_while_the_interpreter_totals_are_held():
+    """The interpreter's launch totals live in :mod:`repro.counters`,
+    under its one lock."""
+    from repro import counters
+
+    assert _exitcode_while_held(counters.LOCK, _launch) == 0
 
 
 def test_child_runs_a_stream_while_its_totals_are_held():
-    from repro.workloads import babelstream
+    """The stream totals live in :mod:`repro.counters` too, under the
+    same lock."""
+    from repro import counters
 
-    assert _exitcode_while_held(babelstream._TOTALS_LOCK, _stream) == 0
+    assert _exitcode_while_held(counters.LOCK, _stream) == 0

@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import socket
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -580,6 +582,44 @@ def test_oversized_body_is_refused_before_it_is_read(service, http_client):
     assert payload["error"]["code"] == "payload_too_large"
     assert counter.value == before + 1
     # A submission under the cap is still served.
+    assert http_client.submit_kernel(SUBMIT_SRC).kernel == "scale"
+
+
+def test_handler_reads_time_out():
+    from repro.service.server import _Handler
+
+    assert isinstance(_Handler.timeout, float) and 0 < _Handler.timeout < 600
+
+
+def _stalled_submit(http_client) -> socket.socket:
+    """A connection that declares a 100,000-byte body and sends 12."""
+    sock = socket.create_connection((http_client.host, http_client.port),
+                                    timeout=10)
+    sock.sendall(b"POST /kernel/submit HTTP/1.1\r\nHost: localhost\r\n"
+                 b"Content-Type: application/json\r\n"
+                 b"Content-Length: 100000\r\n\r\n" + b'{"source": "')
+    return sock
+
+
+def test_a_stalled_body_loses_its_connection(monkeypatch, http_client):
+    """The server drops a body that stops arriving, rather than holding
+    a handler thread until the client leaves."""
+    from repro.service.server import _Handler
+
+    monkeypatch.setattr(_Handler, "timeout", 0.5)
+    with _stalled_submit(http_client) as sock:
+        start = time.monotonic()
+        assert sock.recv(1024) == b""
+        assert time.monotonic() - start < 5
+    assert http_client.submit_kernel(SUBMIT_SRC).kernel == "scale"
+
+
+def test_a_short_body_gets_no_reply(http_client):
+    """A client that leaves mid-body is not answered (a reply to a
+    closed socket only raises a broken pipe on the server)."""
+    with _stalled_submit(http_client) as sock:
+        sock.shutdown(socket.SHUT_WR)
+        assert sock.recv(1024) == b""
     assert http_client.submit_kernel(SUBMIT_SRC).kernel == "scale"
 
 

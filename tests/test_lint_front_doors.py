@@ -80,6 +80,9 @@ def test_front_door_formats(door, store, capsys):
     status, out = _run(door, "text", store, capsys)
     assert status == 0
     assert out.splitlines()[-1] == footer
+    # The footer is the one line that states the summary.
+    assert out.count(f"{errors} error(s), {warnings} warning(s), "
+                     f"{notes} note(s)") == 1
 
 
 def test_all_labels_every_family_in_order(store, capsys):

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import counters
 from repro.core.matrix import build_matrix
 from repro.enums import VENDOR_ORDER, Language, Model, Vendor, all_cells
 from repro.perfport import (
@@ -33,7 +34,7 @@ from repro.perfport import (
     viable_routes,
 )
 from repro.service.metrics import MetricsRegistry
-from repro.workloads.babelstream import reset_stream_totals, stream_totals
+from repro.workloads.babelstream import stream_totals
 
 PARAMS = PerfParams(n=1 << 12, reps=2)
 
@@ -80,7 +81,7 @@ def test_warm_store_rerun_executes_zero_stream_kernels(tmp_path, seq_perf):
     assert cold.cells_evaluated == 51 and cold.cells_from_store == 0
     assert cold.matrix == seq_perf
 
-    reset_stream_totals()
+    counters.reset("stream.")
     warm_metrics = MetricsRegistry()
     warm = run_perf_matrix(4, store=str(tmp_path), params=PARAMS,
                            metrics=warm_metrics)

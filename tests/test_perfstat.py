@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import counters
 from repro.analysis.diagnostics import Severity
 from repro.analysis.perfstat import (
     PS_TOLERANCE,
@@ -32,7 +33,7 @@ from repro.core.matrix import build_matrix
 from repro.enums import Language, Model, Vendor, all_cells
 from repro.isa.interpreter import snapshot_interpreter_totals
 from repro.perfport import PerfParams, build_perf_matrix, portability_report
-from repro.workloads.babelstream import reset_stream_totals, stream_totals
+from repro.workloads.babelstream import stream_totals
 
 PARAMS = PerfParams(n=1 << 12, reps=2)
 
@@ -59,7 +60,7 @@ def static():
 
 
 def test_static_build_executes_zero_kernels():
-    reset_stream_totals()
+    counters.reset("stream.")
     stream_kernel_costs.cache_clear()
     before = snapshot_interpreter_totals()
     matrix = build_static_perf_matrix(PerfParams(n=1 << 13, reps=2))

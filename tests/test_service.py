@@ -1009,6 +1009,60 @@ def test_cli_and_service_parse_the_same_names(axis, service, capsys):
             service.advise(**service_kwargs(text))
 
 
+#: CLI arguments every axis parser accepts, naming a cell (or, for
+#: ``advise --model``, a column) that Figure 1 does not have.
+NO_CELL = [
+    (["describe", "NVIDIA", "CUDA", "python"], "NVIDIA/CUDA/Python"),
+    (["describe", "AMD", "Python", "c++"], "AMD/Python/C++"),
+    (["describe", "NVIDIA", "RAJA", "c++"], "NVIDIA/RAJA/C++"),
+    (["advise", "--model", "RAJA"], "RAJA/C++"),
+    (["advise", "--model", "CUDA", "--language", "python"], "CUDA/Python"),
+]
+
+
+@pytest.mark.parametrize("argv, cell", NO_CELL)
+def test_cli_refuses_a_cell_figure1_lacks(argv, cell, capsys):
+    from repro import cli
+
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.strip() == (
+        f"gpu-compat {argv[0]}: Figure 1 has no cell for {cell}")
+
+
+def test_both_transports_404_a_cell_figure1_lacks(service):
+    from repro.service import HttpClient, NotFoundError
+
+    server = make_server(service)
+    host, port = server.server_address
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    try:
+        for client in (service, InProcessClient(service),
+                       HttpClient(host, port)):
+            for kwargs, cell in (({"model": "RAJA"}, "RAJA/C++"),
+                                 ({"model": "CUDA", "language": "python"},
+                                  "CUDA/Python")):
+                with pytest.raises(NotFoundError) as err:
+                    client.advise(**kwargs)
+                assert err.value.code == "not_found"
+                assert str(err.value) == f"Figure 1 has no cell for {cell}"
+            with pytest.raises(NotFoundError, match="NVIDIA/CUDA/Python"):
+                client.cell("NVIDIA", "CUDA", "python")
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_advise_refuses_a_bad_name_before_building():
+    from repro.service import NotFoundError
+
+    lazy = MatrixService(jobs=1)
+    for kwargs in ({"model": "RAJA"}, {"vendor": "IBM"},
+                   {"vendor": "AMD", "language": "rust"}):
+        with pytest.raises(NotFoundError):
+            lazy.advise(**kwargs)
+    assert lazy._builds.peek("compat") is None
+
+
 def test_serve_banner_lists_every_endpoint(monkeypatch, capsys):
     import repro.service
     from repro import cli
