@@ -92,9 +92,11 @@ code  meaning
       ``report`` disagreed with the published matrix.  ``lint --all``
       propagates the worst per-family code.  **Extension:** ``eval``/
       ``perf``/``serve`` exit 1 on a scheduler failure (a job exhausted
-      its retry budget — :class:`~repro.service.SchedulerError`)
+      its retry budget — :class:`~repro.service.SchedulerError`), and
+      ``serve`` when it cannot listen on its host and port
 2     usage error (argparse: unknown flag, missing operand, bad value;
-      ``describe``/``advise`` of a combination Figure 1 has no cell for);
+      ``describe``/``advise`` of a combination Figure 1 has no cell for;
+      ``conformance`` of a model with no V&V suite);
       **extension:** ``lint --routes`` also exits 2 on an RE01
       contradiction, ``lint --perf`` on a PS01 prediction error, and
       ``lint --traces`` on any TC01/TC02/TC03 — the tool's own
@@ -222,8 +224,16 @@ def cmd_routes(args) -> int:
 
 
 def cmd_conformance(args) -> int:
-    from repro.core.validation import compiler_table, render_compiler_table
+    from repro.core.validation import (
+        SUITES,
+        compiler_table,
+        render_compiler_table,
+    )
 
+    if args.model not in SUITES:
+        raise argparse.ArgumentTypeError(
+            f"no V&V suite for {args.model.value}; suites exist for "
+            + " and ".join(model.value for model in SUITES))
     reports = compiler_table(args.model, args.language)
     print(f"{args.model.value} {args.language.value} conformance "
           f"(V&V-suite style):\n")
@@ -649,7 +659,12 @@ def cmd_serve(args) -> int:
     if not args.lazy:
         report = service.ensure_built()
         print(f"built {report.summary_line()} [{args.execution} backend]")
-    server = make_server(service, host=args.host, port=args.port)
+    try:
+        server = make_server(service, host=args.host, port=args.port)
+    except OSError as exc:
+        print(f"gpu-compat serve: cannot listen on {args.host}:{args.port}: "
+              f"{exc.strerror or exc}", file=sys.stderr)
+        return 1
     host, port = server.server_address
     mode = " [read-only]" if args.read_only else ""
     print(f"serving the compatibility matrix on http://{host}:{port}{mode} "

@@ -46,18 +46,9 @@ class Device:
     """One simulated GPU."""
 
     def __init__(self, spec: DeviceSpec, backing_bytes: int = DEFAULT_BACKING_BYTES,
-                 device_id: int = 0, bandwidth_only_model: bool = False,
-                 max_blocks_per_batch: int | None = None,
-                 trace_mode: bool | None = None):
+                 device_id: int = 0, bandwidth_only_model: bool = False):
         self.spec = spec
         self.device_id = device_id
-        #: Optional cap on interpreter blocks per batch; ``1`` forces the
-        #: historical block-isolated execution (differential testing).
-        self.max_blocks_per_batch = max_blocks_per_batch
-        #: Trace-compiler knob forwarded to every executor: ``True``/
-        #: ``False`` force it, ``None`` defers to the process default
-        #: (``repro.isa.tracing.default_trace_mode``).
-        self.trace_mode = trace_mode
         self.memory = DeviceMemory(backing_bytes, simulated_bytes=spec.memory_bytes)
         self.perf = PerfModel(spec, bandwidth_only=bandwidth_only_model)
         self.default_stream = Stream(self, default=True)
@@ -158,7 +149,7 @@ class Device:
         if kernel_name not in binary:
             raise LaunchError(f"module '{binary.name}' has no kernel '{kernel_name}'")
 
-        key = (id(binary), kernel_name, self.trace_mode)
+        key = (id(binary), kernel_name)
         executor = self._executors.get(key)
         if executor is None:
             executor = KernelExecutor(
@@ -168,8 +159,6 @@ class Device:
                 validator=self.memory.validate,
                 shared_limit=self.spec.shared_per_block,
                 max_block_threads=self.spec.max_threads_per_block,
-                max_blocks_per_batch=self.max_blocks_per_batch,
-                trace_mode=self.trace_mode,
             )
             self._executors[key] = executor
 

@@ -3,11 +3,17 @@
 Nonsensical numeric arguments (``--jobs 0``, negative ``--n``, textual
 ``--reps``) must be rejected at parse time with exit code 2 and a clear
 message — never forwarded into the scheduler or the workload layer.
+Refusals after parsing (a model with no conformance suite, a port
+already taken) print one line, never a traceback.
 """
+
+import socket
 
 import pytest
 
 from repro import cli
+from repro.core.validation import SUITES
+from repro.enums import Model
 
 
 @pytest.mark.parametrize("argv", [
@@ -80,3 +86,28 @@ def test_trace_mode_flag_accepted(capsys):
     finally:
         set_default_trace_mode(None)
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("model", [m.value for m in Model
+                                   if m not in SUITES])
+@pytest.mark.parametrize("language", ["c++", "fortran"])
+def test_conformance_refuses_a_model_without_a_suite(model, language,
+                                                     capsys):
+    assert cli.main(["conformance", "--model", model,
+                     "--language", language]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"gpu-compat conformance: no V&V suite for {model}; "
+                   "suites exist for OpenMP and OpenACC\n")
+
+
+def test_serve_on_a_taken_port_prints_one_line(capsys):
+    with socket.socket() as held:
+        held.bind(("127.0.0.1", 0))
+        held.listen()
+        port = held.getsockname()[1]
+        assert cli.main(["serve", "--lazy", "--port", str(port)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1, lines
+    assert lines[0].startswith(
+        f"gpu-compat serve: cannot listen on 127.0.0.1:{port}: "), lines

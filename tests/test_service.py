@@ -393,6 +393,56 @@ def test_http_transport_agrees_with_inprocess(service):
         server.server_close()
 
 
+def test_concurrent_http_clients(service):
+    """4 clients x 25 requests over five read endpoints: no errors, no
+    request at or over 2 s, and table and cell replies equal in-process."""
+    from repro.service import HttpClient
+
+    calls = {
+        "health": lambda c: c.health(),
+        "table": lambda c: c.table("text"),
+        "cell": lambda c: c.cell("NVIDIA", "CUDA", "C++"),
+        "metrics": lambda c: c.metrics(),
+        "admin_stores": lambda c: c.admin_stores(),
+    }
+    names = list(calls)
+    inproc = InProcessClient(service)
+    expected = {name: calls[name](inproc) for name in ("table", "cell")}
+    problems = []
+
+    def client_loop(worker):
+        client = HttpClient(host, port)
+        for i in range(25):
+            name = names[(worker + i) % len(names)]
+            t0 = time.perf_counter()
+            try:
+                reply = calls[name](client)
+            except Exception as exc:  # every failure fails the test
+                problems.append(f"{worker}/{i} {name}: {exc!r}")
+                continue
+            seconds = time.perf_counter() - t0
+            if seconds >= 2.0:
+                problems.append(f"{worker}/{i} {name}: {seconds:.2f} s")
+            if name in expected and reply != expected[name]:
+                problems.append(f"{worker}/{i} {name}: reply differs")
+
+    server = make_server(service)
+    host, port = server.server_address
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    try:
+        clients = [threading.Thread(target=client_loop, args=(w,))
+                   for w in range(4)]
+        for thread in clients:
+            thread.start()
+        for thread in clients:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in clients)
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert problems == []
+
+
 def test_all_endpoints_payload_identical_across_transports(warm_store_dir):
     """Every endpoint — the original six, the three perf ones, the two
     perfstat ones, and the tracesan one — must return the identical

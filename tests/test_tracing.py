@@ -97,23 +97,26 @@ def _trace_delta(fn):
 # -- library kernels ----------------------------------------------------------
 
 
-@pytest.mark.parametrize("n", [1, 257, 4096])
+@pytest.mark.parametrize("n", [1, 257, 4096, 1 << 16])
 @pytest.mark.parametrize(
     "name",
     ["stream_triad", "ew_mul", "stream_dot", "reduce_sum", "reduce_max",
      "warp_reduce_sum", "histogram"],
 )
 def test_library_kernel_tiers_bit_identical(name, n, rng):
-    """Traced, batched, and block-isolated runs are indistinguishable."""
+    """Traced, batched (unlimited and 4 blocks wide), and block-isolated
+    runs are indistinguishable; n = 2^16 is 256 blocks, 64 batches of 4."""
     ir, grid, block, args, image = _setup(name, n, rng)
     (mem_t, st_t), delta = _trace_delta(
         lambda: _run(ir, grid, block, args, image, trace=True))
     mem_i, st_i = _run(ir, grid, block, args, image, trace=False)
+    mem_4, st_4 = _run(ir, grid, block, args, image, trace=False, width=4)
     mem_1, st_1 = _run(ir, grid, block, args, image, trace=False, width=1)
 
-    np.testing.assert_array_equal(mem_t, mem_i)
-    np.testing.assert_array_equal(mem_t, mem_1)
-    assert _counters(st_t) == _counters(st_i) == _counters(st_1)
+    for mem in (mem_i, mem_4, mem_1):
+        np.testing.assert_array_equal(mem_t, mem)
+    assert (_counters(st_t) == _counters(st_i) == _counters(st_4)
+            == _counters(st_1))
     if name == "warp_reduce_sum":
         # Shuffle is untraceable: the launch must fall back (and the
         # fallback is what the equality above just validated).
