@@ -721,6 +721,17 @@ def _positive_int(value: str) -> int:
     return n
 
 
+def _store_dir(value: str) -> str:
+    """Argparse type for --store: a directory, or a path to create one."""
+    from repro.service.store import check_store_root
+
+    try:
+        check_store_root(value)
+    except NotADirectoryError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+    return value
+
+
 def _add_fleet_args(parser: "argparse.ArgumentParser") -> None:
     """The uniform --jobs/--execution pair for eval, perf, and serve."""
     import os
@@ -790,7 +801,8 @@ def main(argv: list[str] | None = None) -> int:
     p_eval = sub.add_parser(
         "eval", help="build the matrix concurrently with a result store")
     _add_fleet_args(p_eval)
-    p_eval.add_argument("--store", default=None, metavar="DIR",
+    p_eval.add_argument("--store", type=_store_dir, default=None,
+                        metavar="DIR",
                         help="persistent result-store directory; a warm "
                              "store re-derives only changed cells")
     p_eval.add_argument("--metrics-json", default=None, metavar="PATH",
@@ -801,7 +813,8 @@ def main(argv: list[str] | None = None) -> int:
         "perf", help="performance-portability matrix (BabelStream through "
                      "every viable route)")
     _add_fleet_args(p_perf)
-    p_perf.add_argument("--store", default=None, metavar="DIR",
+    p_perf.add_argument("--store", type=_store_dir, default=None,
+                        metavar="DIR",
                         help="persistent store directory (shared with "
                              "'eval'; a warm store executes zero stream "
                              "kernels)")
@@ -825,7 +838,8 @@ def main(argv: list[str] | None = None) -> int:
     p_serve.add_argument("--port", type=int, default=8951,
                          help="port (default 8951; 0 = ephemeral)")
     _add_fleet_args(p_serve)
-    p_serve.add_argument("--store", default=None, metavar="DIR",
+    p_serve.add_argument("--store", type=_store_dir, default=None,
+                         metavar="DIR",
                          help="persistent result-store directory")
     p_serve.add_argument("--lazy", action="store_true",
                          help="defer the matrix build to the first request")
@@ -877,7 +891,8 @@ def main(argv: list[str] | None = None) -> int:
     p_lint.add_argument("--jobs", type=_positive_int, default=4, metavar="N",
                         help="worker threads for the measured half of "
                              "--perf (default 4)")
-    p_lint.add_argument("--store", dest="store", default=None, metavar="DIR",
+    p_lint.add_argument("--store", type=_store_dir, default=None,
+                        metavar="DIR",
                         help="persistent store for the measured half of "
                              "--perf (shared with 'eval'/'perf')")
     p_lint.add_argument("--format", choices=("text", "json", "sarif"),

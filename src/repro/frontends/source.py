@@ -84,7 +84,8 @@ class TranslationUnit:
         return self.digests()[0]
 
     def digests(self) -> tuple[str, str]:
-        """``(fingerprint, kernel content)``, repr-ing each body once.
+        """``(fingerprint, kernel content)``, from each kernel's cached
+        :meth:`~repro.isa.module.KernelIR.content`.
 
         The first is :meth:`fingerprint`.  The second covers only the
         kernels -- each one's name, params, body and feature tags -- and
@@ -97,10 +98,9 @@ class TranslationUnit:
             unit.update(f"|{tag}".encode())
         content = hashlib.sha256()
         for k in self.kernels:
-            for part in k.ir.content_parts():
-                data = part.encode()
-                unit.update(data)
-                content.update(data)
+            data = k.ir.content()
+            unit.update(data)
+            content.update(data)
         return unit.hexdigest(), content.hexdigest()
 
     def kernel(self, name: str) -> KernelFn:

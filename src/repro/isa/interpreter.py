@@ -316,9 +316,6 @@ class KernelExecutor:
         self._batch_cache: dict[tuple, _Batch] = {}
         self.geom_cache_hits = 0
         self.geom_cache_misses = 0
-        #: The trace key's kernel fingerprint, set by the first traced
-        #: launch (``tracing.lookup``); the kernel is never mutated.
-        self.trace_fingerprint: str | None = None
 
     # -- public API -----------------------------------------------------------
 

@@ -75,21 +75,35 @@ class KernelIR:
         """Total instructions, including nested bodies."""
         return sum(1 for _ in walk(self.body))
 
-    def content_parts(self) -> list[str]:
-        """What a content hash of this kernel covers, in hashing order.
+    def content(self) -> bytes:
+        """What a content hash of this kernel covers, as one bytes object.
 
         ``#name(params)``, the body's repr, then ``+tag`` per sorted
-        feature.  Instruction and operand dataclasses have content-based
-        reprs, so the body's repr is a stable structural fingerprint.
-        The compile cache, the trace cache and the store fingerprints
-        all hash these parts, so a kernel edit reaches every one.
+        feature, encoded.  Instruction and operand dataclasses have
+        content-based reprs, so the body's repr is a stable structural
+        fingerprint.  The compile cache, the trace cache and the store
+        fingerprints all hash these bytes, so a kernel edit reaches
+        every one.  Computed on first call and kept on the kernel, since
+        shared IR is never mutated; copies start without it.
         """
+        try:
+            return self._content
+        except AttributeError:
+            pass
         params = ",".join(
             f"{p.name}:{'*' if p.is_pointer else ''}{p.dtype.name}"
             for p in self.params
         )
-        return [f"#{self.name}({params})", repr(self.body),
-                *(f"+{tag}" for tag in sorted(self.features))]
+        tags = "".join(f"+{tag}" for tag in sorted(self.features))
+        self._content = f"#{self.name}({params}){self.body!r}{tags}".encode()
+        return self._content
+
+    def __getstate__(self) -> dict:
+        """Pickle, ``copy`` and ``clone_ir`` state, minus cached content:
+        a copy is what gets rewritten."""
+        state = self.__dict__.copy()
+        state.pop("_content", None)
+        return state
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         sig = ", ".join(

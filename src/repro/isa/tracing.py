@@ -154,11 +154,10 @@ def trace_cache_size() -> int:
 
 def kernel_fingerprint(kernel: KernelIR) -> str:
     """Structural content hash of one kernel, compile-cache style:
-    the trace schema, then :meth:`KernelIR.content_parts`."""
+    the trace schema, then :meth:`KernelIR.content`."""
     h = hashlib.sha256()
     h.update(f"trace-schema={TRACE_SCHEMA}".encode())
-    for part in kernel.content_parts():
-        h.update(part.encode())
+    h.update(kernel.content())
     return h.hexdigest()
 
 
@@ -166,15 +165,8 @@ def trace_key(kernel: KernelIR, warp_size: int,
               grid: tuple[int, int, int], block: tuple[int, int, int],
               blocks_per_batch: int) -> str:
     """Content-addressed key of one (kernel, geometry, batch width)."""
-    return _shape_key(kernel_fingerprint(kernel), warp_size, grid, block,
-                      blocks_per_batch)
-
-
-def _shape_key(fingerprint: str, warp_size: int,
-               grid: tuple[int, int, int], block: tuple[int, int, int],
-               blocks_per_batch: int) -> str:
     h = hashlib.sha256()
-    h.update(fingerprint.encode())
+    h.update(kernel_fingerprint(kernel).encode())
     h.update(f"|warp={warp_size}|grid={grid}|block={block}"
              f"|bpb={blocks_per_batch}".encode())
     return h.hexdigest()
@@ -188,8 +180,7 @@ def lookup(executor, grid: tuple[int, int, int], block: tuple[int, int, int],
     Returns ``None`` (after recording the bailout) when the kernel can't
     be traced; the caller falls back to the batched interpreter.  Cache
     outcomes count as ``trace.hits|misses|bailouts`` (and
-    ``trace.reason.<reason>``) in :mod:`repro.counters`.  The kernel's
-    fingerprint is hashed on the executor's first lookup and kept on it.
+    ``trace.reason.<reason>``) in :mod:`repro.counters`.
 
     ``validate=True`` additionally runs the tracesan translation
     validator (:func:`repro.analysis.tracesan.validate_program`) over the
@@ -197,12 +188,8 @@ def lookup(executor, grid: tuple[int, int, int], block: tuple[int, int, int],
     program's ``verdict`` field — once per cached program, purely static,
     never executing the kernel.
     """
-    fingerprint = executor.trace_fingerprint
-    if fingerprint is None:
-        fingerprint = kernel_fingerprint(executor.kernel)
-        executor.trace_fingerprint = fingerprint
-    key = _shape_key(fingerprint, executor.warp_size, grid, block,
-                     blocks_per_batch)
+    key = trace_key(executor.kernel, executor.warp_size, grid, block,
+                    blocks_per_batch)
     outcome = "trace.hits"
 
     def build():

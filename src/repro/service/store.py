@@ -21,7 +21,7 @@ cell's evaluation can observe:
   maturity), via-chains, and probe-suite bindings;
 * the **probe suites** — every probe label and method, per suite;
 * the **kernel library** — each kernel's
-  :meth:`~repro.isa.module.KernelIR.content_parts`, the bytes the
+  :meth:`~repro.isa.module.KernelIR.content`, the bytes the
   compile cache hashes too, so editing a kernel invalidates exactly the
   cells whose probes execute it (conservatively: all, since suites
   share the library);
@@ -45,6 +45,7 @@ import hashlib
 import json
 import logging
 import os
+import stat
 import tempfile
 import threading
 import time
@@ -101,8 +102,7 @@ def environment_fingerprint(thresholds: Thresholds = DEFAULT_THRESHOLDS) -> str:
                 f"{cap.flag}".encode()
             )
     for name in sorted(KERNEL_LIBRARY):
-        for part in KERNEL_LIBRARY[name].ir.content_parts():
-            h.update(part.encode())
+        h.update(KERNEL_LIBRARY[name].ir.content())
     return h.hexdigest()
 
 
@@ -242,6 +242,22 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
+def check_store_root(root: str | os.PathLike) -> None:
+    """Refuse a store root that exists and is not a directory.
+
+    Only stats ``root``: a missing root is fine, since the first save
+    creates it and lookups never write.
+    """
+    try:
+        if stat.S_ISDIR(os.stat(root).st_mode):
+            return
+    except FileNotFoundError:
+        return
+    except NotADirectoryError:  # a parent of ``root`` is a file
+        pass
+    raise NotADirectoryError(f"store path is not a directory: {root}")
+
+
 class ContentStore:
     """A content-addressed directory of serialized cells.
 
@@ -260,6 +276,7 @@ class ContentStore:
     label = "store"
 
     def __init__(self, root: Path, thresholds: Thresholds, metrics) -> None:
+        check_store_root(root)
         self.root = root
         self.thresholds = thresholds
         self.stats = StoreStats()

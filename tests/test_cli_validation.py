@@ -111,3 +111,28 @@ def test_serve_on_a_taken_port_prints_one_line(capsys):
     assert len(lines) == 1, lines
     assert lines[0].startswith(
         f"gpu-compat serve: cannot listen on 127.0.0.1:{port}: "), lines
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--jobs", "1"],
+    ["perf", "--jobs", "1", "--n", "1024", "--reps", "1"],
+    ["lint", "--perf", "--jobs", "1", "--n", "1024", "--reps", "1"],
+    ["serve", "--lazy", "--port", "{port}"],
+])
+def test_store_that_is_not_a_directory_exits_2(argv, tmp_path, capsys):
+    """Refused at parse time, before any build.  A port is held so that
+    a serve that got past parsing fails at once instead of serving."""
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a store\n")
+    with socket.socket() as held:
+        held.bind(("127.0.0.1", 0))
+        held.listen()
+        argv = [a.format(port=held.getsockname()[1]) for a in argv]
+        for path in (blocker, blocker / "sub"):
+            with pytest.raises(SystemExit) as excinfo:
+                cli.main(argv + ["--store", str(path)])
+            assert excinfo.value.code == 2
+            err = capsys.readouterr().err
+            assert err.splitlines()[-1].endswith(
+                f"argument --store: store path is not a directory: {path}")
+    assert blocker.read_text() == "not a store\n"

@@ -189,27 +189,6 @@ def test_geometry_tables_are_shared_across_executors(rng):
     assert not any(a is b for a, b in zip(first, tables(ir, 32)))
 
 
-def test_trace_fingerprint_is_computed_once_per_executor(rng, monkeypatch):
-    from repro.isa import tracing
-
-    calls = []
-    real = tracing.kernel_fingerprint
-
-    def counted(kernel):
-        calls.append(kernel.name)
-        return real(kernel)
-
-    monkeypatch.setattr(tracing, "kernel_fingerprint", counted)
-    ir, grid, block, args, image = _setup("stream_dot", rng)
-    ex = KernelExecutor(ir, 32, image.copy(), trace_mode=True)
-    for _ in range(3):
-        ex.launch(grid, block, args)
-    assert calls == ["stream_dot"]
-    KernelExecutor(ir, 32, image.copy(), trace_mode=True).launch(
-        grid, block, args)
-    assert calls == ["stream_dot"] * 2
-
-
 def test_geometry_tables_single_copy_under_contention():
     """Threads building one shape at once all get the stored copy."""
     import sys

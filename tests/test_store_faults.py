@@ -221,3 +221,19 @@ def test_lookups_never_write(layout, root):
     client.metrics()
     assert client.admin_stores().matrix["entries"] == 51
     assert _tree(root) == before
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+def test_root_that_is_not_a_directory_is_refused(kind, below, tmp_path):
+    """A store over a regular file (or a path beneath one) raises at
+    construction, before any lookup or build, and leaves the file be."""
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a store\n")
+    path = blocker / "sub" if below else blocker
+    with pytest.raises(NotADirectoryError,
+                       match="store path is not a directory"):
+        _store(kind, path)
+    with pytest.raises(NotADirectoryError):
+        MatrixService(jobs=1, store=str(path))
+    assert blocker.read_text() == "not a store\n"

@@ -524,3 +524,148 @@ def test_stage_memo_single_flight_across_toolchains(monkeypatch):
     assert all(r.binary.kernel("axpy") is kernels[r.target] for r in results)
     assert [r.binary.name for r in results] == [
         f"unit{i}" for i in range(len(_ROUTES))]
+
+
+# -- compiled IR is immutable once its content was read ----------------------
+
+
+def _kernels_in_compile_memos():
+    """Every ``KernelIR`` the ``compile`` and ``stages`` memos hold."""
+    from repro import memo
+    from repro.compilers.toolchain import CompileResult
+    from repro.isa.module import ModuleIR, TargetModule
+
+    found = {}
+
+    def visit(entry):
+        if isinstance(entry, CompileResult):
+            visit(entry.binary)
+        elif isinstance(entry, TargetModule):
+            visit(entry.module)
+        elif isinstance(entry, ModuleIR):
+            found.update((id(k), k) for k in entry)
+        elif isinstance(entry, tuple):  # optimize: (module, pass report)
+            for item in entry:
+                visit(item)
+
+    for m in list(memo._LIVE):
+        if m.name in ("compile", "stages"):
+            for entry in list(m.entries.values()):
+                visit(entry)
+    return list(found.values())
+
+
+def _fresh_content(kernel):
+    """``kernel.content()`` recomputed on a copy, whatever it cached."""
+    from repro.isa.module import clone_ir
+
+    dup = clone_ir(kernel)
+    vars(dup).pop("_content", None)
+    return dup.content()
+
+
+def test_no_kernel_changes_after_its_content_was_read():
+    """Builds on both executors, a perf build and a trace-validation
+    sweep leave every kernel that cached its content holding exactly the
+    bytes a fresh copy computes."""
+    from repro.analysis import tracesan
+    from repro.compilers.toolchain import clear_compile_cache
+    from repro.isa.tracing import clear_trace_cache
+    from repro.perfport import PerfParams, run_perf_matrix
+    from repro.service import build_matrix_concurrent
+
+    clear_compile_cache()
+    clear_trace_cache()
+    build_matrix_concurrent(2)
+    build_matrix_concurrent(2, execution="process")
+    run_perf_matrix(2, params=PerfParams(n=4096, reps=2))
+    tracesan.validate_library()
+    library = [fn.ir for fn in KL.KERNEL_LIBRARY.values()]
+    compiled = _kernels_in_compile_memos()
+    hashed = [k for k in library + compiled if "_content" in vars(k)]
+    assert len(hashed) > len(library)  # legalized kernels were hashed
+    for k in hashed:
+        assert k.content() == _fresh_content(k), k.name
+
+
+def test_threads_racing_on_a_first_read_agree():
+    """Threads reading one kernel's content for the first time at once
+    each build equal bytes, and the kernel keeps them."""
+    import sys
+    import threading
+
+    from repro.isa.module import clone_ir
+
+    expected = _fresh_content(KL.reduce_sum.ir)
+    n = 8
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            kernel = clone_ir(KL.reduce_sum.ir)
+            start = threading.Barrier(n)
+            got = [None] * n
+
+            def worker(i):
+                start.wait(timeout=10)
+                got[i] = kernel.content()
+
+            threads = [threading.Thread(target=worker, args=(i,))
+                       for i in range(n)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+            assert not any(t.is_alive() for t in threads)
+            assert got == [expected] * n
+            assert kernel.content() == expected
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("copier", [
+    "clone_ir", "copy.copy", "copy.deepcopy", "pickle"])
+def test_copies_of_a_hashed_kernel_start_without_its_content(copier):
+    import copy
+    import pickle
+
+    from repro.isa import tracing
+    from repro.isa.module import clone_ir
+
+    copy_of = {
+        "clone_ir": clone_ir, "copy.copy": copy.copy,
+        "copy.deepcopy": copy.deepcopy,
+        "pickle": lambda k: pickle.loads(pickle.dumps(k)),
+    }[copier]
+    original = clone_ir(KL.stream_dot.ir)
+    content = original.content()
+    fingerprint = tracing.kernel_fingerprint(original)
+    dup = copy_of(original)
+    assert "_content" not in vars(dup)
+    assert dup.content() == content
+    dup = copy_of(original)
+    dup.body = dup.body[:-1]  # a new list: copy.copy shares the old one
+    assert dup.content() != content
+    assert tracing.kernel_fingerprint(dup) != fingerprint
+    assert original.content() == content == _fresh_content(original)
+    assert tracing.kernel_fingerprint(original) == fingerprint
+
+
+def test_optimize_and_legalize_leave_a_hashed_kernel_unchanged():
+    """The two rewriting passes rewrite clones, never their input."""
+    from repro.compilers.passes import optimize_kernel
+    from repro.errors import LegalizationError
+    from repro.isa.module import ModuleIR, clone_ir
+    from repro.isa.targets import legalize
+
+    for fn in KL.KERNEL_LIBRARY.values():
+        kernel = clone_ir(fn.ir)
+        content = kernel.content()
+        optimize_kernel(kernel, level=2)
+        for isa in ISA:
+            try:
+                legalize(ModuleIR(name="m", kernels={kernel.name: kernel}),
+                         isa)
+            except LegalizationError:
+                pass
+        assert _fresh_content(kernel) == content, fn.name

@@ -330,6 +330,31 @@ def test_trace_cache_hit_on_relaunch(rng):
     assert trace_cache_size() == 1
 
 
+def test_kernel_content_is_computed_once_across_executors(rng):
+    """Every traced launch hashes its kernel for the trace key, but the
+    kernel reprs its body once: the content is kept on the kernel, not
+    on an executor."""
+    from repro.isa.module import clone_ir
+
+    reprs = []
+
+    class CountingBody(list):
+        def __repr__(self):
+            reprs.append(1)
+            return super().__repr__()
+
+    ir, grid, block, args, image = _setup("stream_dot", 4096, rng)
+    kernel = clone_ir(ir)
+    kernel.body = CountingBody(kernel.body)
+    for _ in range(2):
+        ex = KernelExecutor(kernel, 32, image.copy(), trace_mode=True)
+        for _ in range(3):
+            _, delta = _trace_delta(lambda: ex.launch(grid, block, args))
+            assert delta["traced_launches"] == 1
+    assert len(reprs) == 1
+    assert kernel.content() == ir.content()
+
+
 def test_distinct_shapes_get_distinct_programs(rng):
     """The trace key covers geometry: a new grid is a new program."""
     ir, grid, block, args, image = _setup("stream_triad", 4096, rng)
