@@ -29,11 +29,15 @@ Three phases, reported as ``TC01``-``TC06`` diagnostics:
    must meter ``_ic`` with the active context multiplicity, every load/
    store/atomic must touch the right space and element size under the
    right mask, every fast-path base address must agree with the
-   independently derived affine.  A *provable* disagreement is ``TC01``
-   (error).  When a summary is only a conservative bound (an affine the
-   checker cannot derive, a gate shape it cannot classify) the verdict
-   degrades to ``exact=False`` and reports ``TC04`` (warning) — the same
-   degradation contract the bitonic cost model uses.
+   independently derived affine, and a uniform-address gate must guard
+   exactly the one element the IR's address register names.  Top-level
+   releases (``a = b = None``) are stripped first, once no later
+   statement is shown to read a released name.  A *provable*
+   disagreement is ``TC01`` (error).  When a summary is only a
+   conservative bound (an affine the checker cannot derive, a gate
+   shape it cannot classify) the verdict degrades to ``exact=False``
+   and reports ``TC04`` (warning) — the same degradation contract the
+   bitonic cost model uses.
 
 3. **Deferral re-proof (TC03).**  The trace compiler *sinks* pure
    single-site register chains into fast-path ``else`` arms.  The
@@ -51,6 +55,7 @@ kernels that bailed out of trace compilation are ``TC05`` info and are
 from __future__ import annotations
 
 import ast
+import re
 import time
 from dataclasses import dataclass, field
 
@@ -130,7 +135,7 @@ class TraceVerdict:
 #: Names the exec namespace provides plus program-local scalars.
 _FIXED_NAMES = frozenset({
     "X", "B", "args", "stats", "np", "DT",
-    "_assign", "_resolve", "_atomic", "_barrier", "_span_ok",
+    "_resolve", "_atomic", "_barrier", "_span_ok",
     "_cdiv", "_crem",
     "IRError", "MemoryFaultError", "DivergentBarrierError",
     "bool", "int", "min", "max", "None", "True", "False",
@@ -152,7 +157,7 @@ _NP_ATTRS = frozenset({
     "floor", "ceil", "rint",
     "equal", "not_equal", "less", "less_equal", "greater", "greater_equal",
     "where", "full", "empty", "ones", "zeros", "asarray",
-    "ascontiguousarray", "copyto",
+    "ascontiguousarray", "copyto", "repeat", "broadcast_to",
 } | {_np_name(dt) for dt in SCALAR_TYPES.values()})
 
 _B_ATTRS = frozenset({"lanes", "n_blocks", "first_block", "tid", "ctaid",
@@ -575,6 +580,17 @@ def _is_counter_bump(stmt, name: str) -> bool:
             and stmt.target.id == name)
 
 
+_IDENT_RE = re.compile(r"[A-Za-z_]\w*")
+
+
+def _is_release(stmt) -> bool:
+    """``a = b = None``: a top-level end-of-life rebinding of locals."""
+    return (isinstance(stmt, ast.Assign)
+            and isinstance(stmt.value, ast.Constant)
+            and stmt.value.value is None
+            and all(isinstance(t, ast.Name) for t in stmt.targets))
+
+
 def _assign_target(stmt) -> str | None:
     if (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
             and isinstance(stmt.targets[0], ast.Name)):
@@ -635,6 +651,9 @@ def _linform(node: ast.AST, sy: dict[str, str]) -> dict | None:
             inner = node.args[0]
             if isinstance(inner, ast.Name) and _is_temp(inner.id, "sy"):
                 return {("sym", sy.get(inner.id, inner.id)): 1}
+            const = _linform(inner, sy)
+            if const is not None and set(const) <= {"1"}:
+                return const  # int(np.int64(100)): an immediate bound
             return {("sym", _norm(_unparse(inner))): 1}
         if (fn.startswith("np.") and len(node.args) == 1
                 and isinstance(node.args[0], ast.Constant)
@@ -725,6 +744,14 @@ class _Checker:
         self.local_map: dict[str, str] = {}   # local -> IR register name
         self.fast_gate_ifs: list[ast.If] = []
         self.shared_cursor = 0
+        self.lines = source.split("\n")
+
+    def _tokens(self, node) -> list[str]:
+        """The identifiers on a node's source lines: a superset of the
+        names it reads, so a walk for some names can be skipped when
+        none is among them."""
+        text = "\n".join(self.lines[node.lineno - 1:node.end_lineno])
+        return _IDENT_RE.findall(text)
 
     # -- reporting ---------------------------------------------------------
 
@@ -1011,17 +1038,10 @@ class _Checker:
                     _find_calls(s, callee) for s in payload):
                 self._tc01(path, f"payload never applies `{callee}`; the "
                            "generated value cannot match the IR operation")
-            for s in payload:
-                for call in _find_calls(s, "np.copyto"):
-                    for kw in call.keywords:
-                        if kw.arg == "where" and not ctx.bind_mask(
-                                _norm(_unparse(kw.value))):
-                            self._tc01(path, "merge writes under a mask "
-                                       "that is not the active context "
-                                       "mask")
-                if _view_store_targets(s):
-                    self._tc01(path, "value instruction writes to a "
-                               "memory view")
+            self._check_merge_masks(payload, ctx, path)
+            if any(_view_store_targets(s) for s in payload):
+                self._tc01(path, "value instruction writes to a memory "
+                           "view")
             if dst is not None:
                 # The payload's register-local assignment target *is* the
                 # destination register's local: learn the local <-> IR
@@ -1036,6 +1056,17 @@ class _Checker:
                             if t and t.startswith("r") and t[1:].isdigit():
                                 self.local_map[t] = dst.name
         self._astep(ins)
+
+    def _check_merge_masks(self, stmts, ctx: _MCtx, path: str) -> None:
+        """Every masked merge (``np.copyto(..., where=m)``) uses the
+        active context mask."""
+        for s in stmts:
+            for call in _find_calls(s, "np.copyto"):
+                for kw in call.keywords:
+                    if kw.arg == "where" and not ctx.bind_mask(
+                            _norm(_unparse(kw.value))):
+                        self._tc01(path, "merge writes under a mask that "
+                                   "is not the active context mask")
 
     def _match_barrier(self, payload, ctx: _MCtx, path: str) -> None:
         if len(payload) != 1 or not _is_counter_bump(payload[0], "_ba"):
@@ -1076,13 +1107,16 @@ class _Checker:
         body = [s for s in payload if s is not bumps[0]]
         stores = sum(_view_store_targets(s) for s in body)
         want_stores = 0
-        fast_assign = next((s for s in body
-                            if _is_temp(_assign_target(s), "b")), None)
-        if fast_assign is not None:
-            gate = next((s for s in body if isinstance(s, ast.If)), None)
-            if gate is None:
-                self._tc01(path, "fast-path base bound without a guarded "
-                           "branch")
+        fast_assign, gate = self._fast_gate(body, path)
+        if fast_assign is not None and self._addr_uniform(ins):
+            if not is_load:
+                self._tc01(path, "uniform-address fast path on a store; "
+                           "only loads and atomics have one")
+            idx = self._check_uniform_gate(ins, fast_assign, gate, isz,
+                                           path)
+            self._check_uniform_load(ins, idx, gate.body[1:], ctx, path)
+            self._check_resolve(ins, gate.orelse, ctx, path, store=False)
+        elif fast_assign is not None:
             self.fast_gate_ifs.append(gate)
             test_text = _unparse(gate.test)
             need = [f"% {isz} == 0"]
@@ -1109,6 +1143,19 @@ class _Checker:
         if d is not None:
             self.env[d.name] = _AVal(d.dtype,
                                      d.name not in self.info.varying)
+
+    def _fast_gate(self, stmts, path: str):
+        """A fast path's ``_b`` base binding and its guarded branch, or
+        ``(None, None)`` when the access has only the generic path."""
+        fast_assign = next((s for s in stmts
+                            if _is_temp(_assign_target(s), "b")), None)
+        if fast_assign is None:
+            return None, None
+        gate = next((s for s in stmts if isinstance(s, ast.If)), None)
+        if gate is None:
+            self._tc01(path, "fast-path base bound without a guarded "
+                       "branch")
+        return fast_assign, gate
 
     def _check_resolve(self, ins, region, ctx: _MCtx, path: str,
                        store: bool) -> None:
@@ -1195,18 +1242,94 @@ class _Checker:
                 self._tc04(path, "cannot bind the base address symbol to "
                            "an IR register; coefficient-only proof")
 
-    def _match_atomic(self, ins, payload, ctx: _MCtx, path: str) -> None:
-        bumps = [s for s in payload if _is_counter_bump(s, "_ao")]
-        if len(bumps) != 1 \
-                or _norm(_unparse(bumps[0].value)) != ctx.n_text:
-            self._tc01(path, "atomic metering does not match context "
-                       "multiplicity")
-        self._check_resolve(ins, payload, ctx, path, store=True)
-        calls = [c for s in payload for c in _find_calls(s, "_atomic")]
-        if len(calls) != 1 or len(calls[0].args) != 8:
+    def _addr_uniform(self, ins) -> bool:
+        """Every lane holds the same address (the IR-side uniformity)."""
+        return (isinstance(ins.addr, Register)
+                and ins.addr.name not in self.info.varying)
+
+    def _check_uniform_gate(self, ins, fast_assign, gate, isz: int,
+                            path: str) -> str:
+        """Prove a uniform-address gate: its base is the address
+        register's one value, its guard admits exactly one legal,
+        aligned element of the right size and space, and its fast arm
+        indexes that element.  Returns the index temp's name."""
+        b = _assign_target(fast_assign)
+        val = fast_assign.value
+        if not (isinstance(val, ast.Call) and _unparse(val.func) == "int"
+                and len(val.args) == 1
+                and isinstance(val.args[0], ast.Name)):
+            self._tc01(path, "uniform fast-path base is not the value of "
+                       "one address register")
+        local = val.args[0].id
+        mapped = self.param_local.get(local, self.local_map.get(local))
+        if mapped is None:
+            self._tc04(path, "cannot bind the uniform base to an IR "
+                       "register; accepting the compiler's address as a "
+                       "conservative bound")
+        elif mapped != ins.addr.name:
+            self._tc01(path, f"uniform fast path resolves register "
+                       f"`{mapped}`, the IR addresses `{ins.addr.name}`")
+        if ins.space == MemSpace.GLOBAL:
+            want = f"{b} % {isz} == 0 and _span_ok(X, {b}, 1, {isz})"
+            idx = "_j" + b[2:]
+        else:
+            want = (f"0 <= {b} and {b} % {isz} == 0 and "
+                    f"{b} + 1 * {isz} <= {self.info.shared_bytes}")
+            idx = "_c" + b[2:]
+        if _unparse(gate.test) != _norm(want):
+            self._tc01(path, f"uniform fast-path guard "
+                       f"`{_unparse(gate.test)}` is not `{want}`; the "
+                       "unchecked access could fault or alias")
+        if not gate.body or _unparse(gate.body[0]) != f"{idx} = {b} // {isz}":
+            self._tc01(path, "uniform fast path does not index the guarded "
+                       "element")
+        return idx
+
+    def _check_uniform_load(self, ins, idx: str, arm, ctx: _MCtx,
+                            path: str) -> None:
+        """The fast arm builds, on every lane, what the generic gather
+        gives: the element for active lanes (in each block's own row,
+        for shared), the parked element 0 for inactive ones."""
+        dt = ins.dst.dtype
+        dtn, npn, bt = dt.name, _np_name(dt), self.info.bt
+        first = arm[0] if arm else None
+        if first is None or not isinstance(first, ast.Assign):
+            self._tc01(path, "uniform fast path builds no loaded value")
+        if ctx.full:
+            mask = None
+        else:
+            where = _find_calls(first.value, "np.where")
+            if len(where) != 1 or not where[0].args:
+                self._tc01(path, "masked uniform load does not select "
+                           "active lanes")
+            m = where[0].args[0]
+            if (isinstance(m, ast.Call) and isinstance(m.func, ast.Attribute)
+                    and m.func.attr == "reshape"):
+                m = m.func.value
+            mask = _norm(_unparse(m))
+            if not ctx.bind_mask(mask):
+                self._tc01(path, "uniform load selects under a mask that "
+                           "is not the active context mask")
+        if ins.space == MemSpace.GLOBAL:
+            want = (f"np.full(_L, _gv_{dtn}[{idx}], dtype=np.{npn})"
+                    if mask is None else
+                    f"np.where({mask}, _gv_{dtn}[{idx}], _gv_{dtn}[0])")
+        else:
+            want = (f"np.repeat(_s2_{dtn}[:, {idx}], {bt})"
+                    if mask is None else
+                    f"np.where({mask}.reshape(_nB, {bt}), "
+                    f"_s2_{dtn}[:, {idx}:{idx} + 1], _sv_{dtn}[0])"
+                    ".reshape(-1)")
+        if _norm(_unparse(first.value)) != _norm(want):
+            self._tc01(path, f"uniform load builds "
+                       f"`{_unparse(first.value)}`, the IR's "
+                       f"{ins.space} {dtn} access needs `{want}`")
+        self._check_merge_masks(arm, ctx, path)
+
+    def _check_atomic_call(self, ins, call, ctx: _MCtx, path: str) -> None:
+        if len(call.args) != 8:
             self._tc01(path, "atomic must go through exactly one _atomic "
                        "runtime call")
-        call = calls[0]
         oparg = call.args[4]
         if not (isinstance(oparg, ast.Constant) and oparg.value == ins.op):
             self._tc01(path, f"atomic applies `{getattr(oparg, 'value', '?')}`, "
@@ -1218,8 +1341,56 @@ class _Checker:
             self._tc01(path, "atomic old-value capture flag does not match "
                        "the IR")
         npn = _np_name(ins.src.dtype)
-        if _unparse(call.args[7]) != f"np.{npn}":
-            self._tc01(path, "atomic operates at the wrong element dtype")
+        if (_unparse(call.args[7]) != f"np.{npn}"
+                or _unparse(call.args[6]) != "_L"):
+            self._tc01(path, "atomic operates at the wrong element dtype "
+                       "or lane count")
+        eff = _norm(_unparse(call.args[2]))
+        if (eff != "None") if ctx.full else not ctx.bind_mask(eff):
+            self._tc01(path, "atomic applies under a mask that is not the "
+                       "active context mask")
+
+    def _match_atomic(self, ins, payload, ctx: _MCtx, path: str) -> None:
+        bumps = [s for s in payload if _is_counter_bump(s, "_ao")]
+        if len(bumps) != 1 \
+                or _norm(_unparse(bumps[0].value)) != ctx.n_text:
+            self._tc01(path, "atomic metering does not match context "
+                       "multiplicity")
+        fast_assign, gate = self._fast_gate(payload, path)
+        region = payload
+        if fast_assign is not None:
+            if not (self._addr_uniform(ins) and ins.dst is None
+                    and ins.op in ("add", "min", "max")
+                    and ins.space == MemSpace.GLOBAL):
+                self._tc01(path, f"uniform fast path on a {ins.space} "
+                           f"`{ins.op}` atomic; only a global add, min or "
+                           "max that returns no old value has one")
+            idx = self._check_uniform_gate(ins, fast_assign, gate,
+                                           ins.src.dtype.itemsize, path)
+            region = gate.orelse
+        self._check_resolve(ins, region, ctx, path, store=True)
+        calls = [c for s in region for c in _find_calls(s, "_atomic")]
+        if len(calls) != 1:
+            self._tc01(path, "atomic must go through exactly one _atomic "
+                       "runtime call")
+        self._check_atomic_call(ins, calls[0], ctx, path)
+        if fast_assign is not None:
+            fast = [c for s in gate.body for c in _find_calls(s, "_atomic")]
+            if len(fast) != 1:
+                self._tc01(path, "uniform fast path must apply exactly one "
+                           "_atomic runtime call")
+            self._check_atomic_call(ins, fast[0], ctx, path)
+            view = f"_gv_{ins.src.dtype.name}"
+            if _unparse(fast[0].args[0]) != view:
+                self._tc01(path, f"uniform atomic updates "
+                           f"`{_unparse(fast[0].args[0])}`, the IR's "
+                           f"element needs `{view}`")
+            if _unparse(fast[0].args[1]) != f"np.broadcast_to({idx}, _L)":
+                self._tc01(path, "uniform atomic does not apply at the "
+                           "guarded element")
+            if _unparse(fast[0].args[3]) != _unparse(calls[0].args[3]):
+                self._tc01(path, "uniform atomic applies other values than "
+                           "its generic path")
         if sum(_view_store_targets(s) for s in payload):
             self._tc01(path, "atomic chunk writes to a memory view outside "
                        "the _atomic runtime call")
@@ -1524,7 +1695,7 @@ class _Checker:
 
     # -- Phase 3: deferral re-proof (TC03) ---------------------------------
 
-    def _check_deferrals(self, fn: ast.FunctionDef) -> None:
+    def _check_deferrals(self, stmts) -> None:
         scopes = [g.orelse for g in self.fast_gate_ifs]
         scope_stmts = {id(s) for block in scopes for s in block}
 
@@ -1541,7 +1712,7 @@ class _Checker:
                     if hasattr(s, body):
                         collect(getattr(s, body), here)
 
-        collect(fn.body, False)
+        collect(stmts, False)
         deferred = {
             name for name, sites in defs.items()
             if name not in self.param_local
@@ -1578,6 +1749,8 @@ class _Checker:
         # Dominance: every use of a deferred register must be reached by
         # a replay on the same path.
         def check_uses(node, defined: set[str]) -> None:
+            if deferred.isdisjoint(self._tokens(node)):
+                return
             for n in ast.walk(node):
                 if (isinstance(n, ast.Name)
                         and isinstance(n.ctx, ast.Load)
@@ -1605,17 +1778,17 @@ class _Checker:
                     defined.add(tgt)
             return defined
 
-        dominate(fn.body, set())
+        dominate(stmts, set())
 
     # -- entry -------------------------------------------------------------
 
     def run(self) -> tuple[bool, list[Diagnostic]]:
         """Match the whole program; returns (exact, diagnostics)."""
         tree = ast.parse(self.source)
-        fn = tree.body[0]
-        stmts = fn.body
+        stmts = tree.body[0].body
         try:
             i = self._match_prelude(stmts)
+            stmts = stmts[:i] + self._strip_releases(stmts[i:])
             if len(stmts) < i + len(self._EPILOGUE):
                 self._tc01("epilogue", "program ends before the stats "
                            "epilogue")
@@ -1628,8 +1801,27 @@ class _Checker:
         except RecursionError:  # pragma: no cover - pathological nesting
             self._tc04("body", "program too deeply nested to match; "
                        "conservative bound only")
-        self._check_deferrals(fn)
+        self._check_deferrals(stmts)
         return self.exact, self.diags
+
+    def _strip_releases(self, stmts) -> list:
+        """Drop the top-level ``a = b = None`` releases, proving that no
+        later statement reads a released name (the compiler releases a
+        local after its last mention, so it never rebinds one)."""
+        kept = []
+        released: set[str] = set()
+        for s in stmts:
+            if _is_release(s):
+                released.update(t.id for t in s.targets)
+                continue
+            if not released.isdisjoint(self._tokens(s)):
+                for node in ast.walk(s):
+                    if (isinstance(node, ast.Name) and node.id in released
+                            and isinstance(node.ctx, ast.Load)):
+                        self._tc01(f"line {node.lineno}",
+                                   f"`{node.id}` is read after its release")
+            kept.append(s)
+        return kept
 
 
 # ---------------------------------------------------------------------------

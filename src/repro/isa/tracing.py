@@ -18,16 +18,26 @@ same dtypes* the interpreter would have made, including:
 * full-width arithmetic — inactive lanes compute the same garbage from
   the same garbage, so register files match exactly;
 * ``assign`` merge semantics (replace on first/full assignment, masked
-  in-place merge otherwise), replicated by the ``_rt_assign`` helper;
+  in-place merge otherwise), emitted inline by the compiler's
+  ``_assign``;
 * memory faults, divergent-barrier errors, and runaway-loop errors with
   the interpreter's exact messages, raised at the same program point;
 * work counters (instructions/flops/bytes/atomics/barriers) accumulated
   with exact per-instruction active-lane counts.
 
 Fast paths (contiguous global slices, per-block shared-row slices,
-prefix masks) are taken only behind compile-time *and* runtime guards
-that prove the result equals the generic path; otherwise the generated
-code falls through to helpers that mirror the interpreter line by line.
+prefix masks, and one resolved address where every lane holds the same
+one) are taken only behind compile-time *and* runtime guards that prove
+the result equals the generic path; otherwise the generated code falls
+through to helpers that mirror the interpreter line by line.
+
+Lane-array lifetimes
+--------------------
+A batch's locals are lane-wide arrays (65,536 lanes is 512 KiB per
+``f64`` register).  After each top-level statement the generated
+function rebinds to ``None`` every local no later statement mentions, so
+a launch's peak holds only the arrays still live rather than every
+temporary the program ever made.
 
 Bailout taxonomy
 ----------------
@@ -237,42 +247,24 @@ def cached_bailout_reason(kernel: KernelIR, warp_size: int, grid, block,
 # performed the identical operations.
 
 
-def _rt_assign(old, values, eff, eff_n: int, lanes: int, npdt, copy: bool):
-    """``_ExecState.assign`` with the register's array threaded explicitly.
-
-    ``eff_n == lanes`` stands in for ``eff.all()`` (the caller passes the
-    exact active-lane count); ``eff`` may be None in that case.
-    """
-    arr = np.asarray(values)
-    if arr.dtype != npdt:
-        arr = arr.astype(npdt)
-    if arr.ndim == 0:
-        arr = np.full(lanes, arr)
-    elif copy:
-        arr = arr.copy()
-    if old is None or eff_n == lanes:
-        return arr
-    if old is not arr:
-        old[eff] = arr[eff]
-    return old
-
-
 def _rt_resolve(X, B, svs, addr, eff, dt, is_global: bool, write: bool):
-    """``_ExecState._resolve`` for a full-array address operand.
+    """``_ExecState._resolve`` for a full-array (``u64``) address operand.
 
     Item sizes are always powers of two, so alignment, bounds, and
     element-index math use bit ops and a scalar ``max`` reduction in
     place of the interpreter's modulo/divide/compare sweeps — same
-    verdict and indices, fewer full-width temporaries.
+    verdict and indices, fewer full-width temporaries.  A shifted
+    address is below ``2**63``, so its ``int64`` view equals its cast.
     """
     isz = dt.itemsize
-    active = addr if eff is None else addr[eff]
+    full = eff is None or eff.all()
+    active = addr if full else addr[eff]
     if isz > 1 and (active & (isz - 1)).any():
         raise MemoryFaultError(
             f"kernel '{X.kernel.name}': misaligned {dt.name} access"
         )
     shift = isz.bit_length() - 1
-    idx = (addr >> shift).astype(np.int64) if shift else addr.astype(np.int64)
+    idx = (addr >> shift).view(np.int64) if shift else addr.astype(np.int64)
 
     def _hi():
         return int(active.max()) if active.size else -isz
@@ -292,7 +284,7 @@ def _rt_resolve(X, B, svs, addr, eff, dt, is_global: bool, write: bool):
             )
         view = svs[dt.name]
         idx += B.block_row * (X._shared_stride // isz)
-    if eff is not None and not eff.all():
+    if not full:
         np.copyto(idx, 0, where=~eff)
     return view, idx
 
@@ -382,7 +374,6 @@ def _exec_namespace() -> dict:
     return {
         "np": np,
         "DT": dict(dtypes.SCALAR_TYPES),
-        "_assign": _rt_assign,
         "_resolve": _rt_resolve,
         "_atomic": _rt_atomic,
         "_barrier": _rt_barrier,
@@ -506,6 +497,10 @@ def _int_bounds(dt: dtypes.DType) -> tuple[int, int]:
 #: Generated-code local names (``r<n>``) — used by the deferral pass to
 #: find register references in emitted lines.
 _LOCAL_RE = re.compile(r"\br(\d+)\b")
+
+#: Register locals and numbered temporaries (``r12``, ``_t3``, ``_ix7``,
+#: ``_a212``): the generated locals that can hold lane arrays.
+_RELEASE_RE = re.compile(r"\b(?:r|_[a-z]+)\d+\b")
 
 
 def _dst_of(ins):
@@ -751,6 +746,7 @@ class _TraceCompiler:
         self.collecting = False
         self._reset_emission()
         self._emit_all()
+        self._release_dead()
         return "\n".join(self.lines) + "\n"
 
     def _emit_all(self) -> None:
@@ -786,16 +782,13 @@ class _TraceCompiler:
         else branch or is the assignment of another deferred register.
         """
         loc2reg = {loc: name for name, loc in self.locals_.items()}
-        refs: list[set] = []
+        refs: dict[str, list[int]] = {}  # register -> lines naming it
         inds: list[int] = []
-        for text, _, ind in self.line_log:
-            names = set()
+        for li, (text, _, ind) in enumerate(self.line_log):
             if not text.endswith(" = None"):  # merge-reg prelude init
-                for m in _LOCAL_RE.findall(text):
-                    reg = loc2reg.get(f"r{m}")
-                    if reg is not None:
-                        names.add(reg)
-            refs.append(names)
+                for name in {loc2reg.get(f"r{m}")
+                             for m in _LOCAL_RE.findall(text)} - {None}:
+                    refs.setdefault(name, []).append(li)
             inds.append(ind)
         cands = {
             name for name, c in self.pure_sites.items()
@@ -826,8 +819,8 @@ class _TraceCompiler:
             for n in list(defer):
                 start, end = self.cand_span[n]
                 bad = False
-                for li, names in enumerate(refs):
-                    if n not in names or start <= li <= end:
+                for li in refs.get(n, ()):
+                    if start <= li <= end:
                         continue
                     # Dominance: the block that assigned n must still be
                     # open at the referencing line, or replaying n's
@@ -862,6 +855,43 @@ class _TraceCompiler:
                     defer.discard(n)
                     changed = True
         self.defer_regs = defer
+
+    def _release_dead(self) -> None:
+        """After each top-level body statement, rebind to ``None`` every
+        register or numbered temporary no later statement mentions.
+
+        Works on the final lines, deferral splices included.  A name
+        inside a string literal only counts as a mention, which delays a
+        release and never brings one forward.  The prelude keeps its
+        locals, and nothing is released after the last body statement:
+        the epilogue follows and the return frees the rest.
+        """
+        lines = self.lines
+        starts = [i for i, text in enumerate(lines)
+                  if text[4] != " " and not text.startswith("    else:")]
+        starts = starts[1:]  # line 0 is the `def`
+        spans = list(zip(starts, starts[1:] + [len(lines)]))
+        first = next((k for k, (s, _) in enumerate(spans)
+                      if lines[s].startswith("    _ic += ")), None)
+        if first is None:
+            return
+        last_body = len(spans) - 7  # the six stats lines close the program
+        # Backwards: what statement k names and nothing after it does
+        # dies at k.
+        later: set[str] = set()
+        dead: dict[int, set[str]] = {}
+        for k in range(len(spans) - 1, first - 1, -1):
+            s, e = spans[k]
+            names = set(_RELEASE_RE.findall("\n".join(lines[s:e])))
+            if k < last_body and names - later:
+                dead[k] = names - later
+            later |= names
+        out = lines[:starts[0]]
+        for k, (s, e) in enumerate(spans):
+            out.extend(lines[s:e])
+            if k in dead:
+                out.append("    " + " = ".join(sorted(dead[k])) + " = None")
+        self.lines = out
 
     def _inject_deferred(self, start: int) -> None:
         """Prepend the deferred lines an else branch needs (pass 2)."""
@@ -1581,17 +1611,57 @@ class _TraceCompiler:
             return f"_ad{t}"
         return av.expr
 
-    def _mem_conds(self, t: int, isz: int, space, ctx: _Ctx, guards):
+    def _mem_conds(self, t: int, isz: int, space, k: str, guards=()):
+        """Runtime guards proving ``k`` elements from ``_b{t}`` legal."""
         conds = list(guards)
         if space == MemSpace.GLOBAL:
-            k = "_L" if ctx.kind == "full" else ctx.k
             conds += [f"_b{t} % {isz} == 0",
                       f"_span_ok(X, _b{t}, {k}, {isz})"]
         else:
-            k = str(self.bt) if ctx.kind == "full" else ctx.k
             conds += [f"0 <= _b{t}", f"_b{t} % {isz} == 0",
                       f"_b{t} + {k} * {isz} <= {self.shared_bytes}"]
-        return conds, k
+        return conds
+
+    def _run_len(self, space, ctx: _Ctx) -> str:
+        """Elements a contiguous access touches per row (global) or per
+        block (shared)."""
+        if ctx.kind == "full":
+            return "_L" if space == MemSpace.GLOBAL else str(self.bt)
+        return ctx.k
+
+    @staticmethod
+    def _uniform_addr(ins, av: _Val) -> bool:
+        """The address is one ``u64`` register every lane holds."""
+        return (isinstance(ins.addr, Register) and av.uniform
+                and av.dtype is not None
+                and av.dtype.np_dtype == dtypes.U64.np_dtype)
+
+    def _uniform_gate(self, ins, av: _Val, t: int, isz: int) -> None:
+        """Open the fast arm of a uniform-address access: bind ``_b{t}``
+        to the address, guard one element, and index it.
+
+        The ``else`` arm (the caller's generic path) is not a deferral
+        splice point, so this gate changes no deferral decision.
+        """
+        self._line(f"_b{t} = int({av.expr})")
+        conds = self._mem_conds(t, isz, ins.space, "1")
+        self._line(f"if {' and '.join(conds)}:")
+        letter = "j" if ins.space == MemSpace.GLOBAL else "c"
+        self._line(f"    _{letter}{t} = _b{t} // {isz}")
+
+    def _uniform_load_expr(self, t: int, space, dt, ctx: _Ctx) -> str:
+        """The generic gather's value on every lane, from one element:
+        active lanes read the address (in their own block's row, for
+        shared), inactive lanes the parked element 0."""
+        dtn, npn = dt.name, _np_name(dt)
+        if space == MemSpace.GLOBAL:
+            if ctx.kind == "full":
+                return f"np.full(_L, _gv_{dtn}[_j{t}], dtype=np.{npn})"
+            return f"np.where({ctx.arr}, _gv_{dtn}[_j{t}], _gv_{dtn}[0])"
+        if ctx.kind == "full":
+            return f"np.repeat(_s2_{dtn}[:, _c{t}], {self.bt})"
+        return (f"np.where({ctx.arr}.reshape(_nB, {self.bt}), "
+                f"_s2_{dtn}[:, _c{t}:_c{t} + 1], _sv_{dtn}[0]).reshape(-1)")
 
     def _emit_load(self, ins: Load, ctx: _Ctx) -> None:
         dt = ins.dst.dtype
@@ -1600,11 +1670,25 @@ class _TraceCompiler:
         name = ins.dst.name
         loc = self._local(name)
         fast = self._contig_info(av, isz, ins.space, ctx)
-        if fast is not None and name in self.varying:
+        if self._uniform_addr(ins, av):
+            t = self._tmp()
+            self._uniform_gate(ins, av, t, isz)
+            self.ind += 1
+            self._assign(ins.dst, _Val(self._uniform_load_expr(
+                t, ins.space, dt, ctx), dt, False), ctx)
+            self.ind -= 1
+            self._line("else:")
+            self.ind += 1
+            self._generic_load(ins, ctx, av, dt)
+            self.ind -= 1
+            self.vals[name] = _Val(loc, dt, False)
+            self.defined.add(name)
+        elif fast is not None and name in self.varying:
             base, guards = fast
             t = self._tmp()
             self._line(f"_b{t} = {base}")
-            conds, k = self._mem_conds(t, isz, ins.space, ctx, guards)
+            k = self._run_len(ins.space, ctx)
+            conds = self._mem_conds(t, isz, ins.space, k, guards)
             self._line(f"if {' and '.join(conds)}:")
             self.ind += 1
             if ins.space == MemSpace.GLOBAL:
@@ -1691,7 +1775,8 @@ class _TraceCompiler:
             base, guards = fast
             t = self._tmp()
             self._line(f"_b{t} = {base}")
-            conds, k = self._mem_conds(t, isz, ins.space, ctx, guards)
+            k = self._run_len(ins.space, ctx)
+            conds = self._mem_conds(t, isz, ins.space, k, guards)
             self._line(f"if {' and '.join(conds)}:")
             self.ind += 1
             if ins.space == MemSpace.GLOBAL:
@@ -1746,20 +1831,35 @@ class _TraceCompiler:
         npn = _np_name(dt)
         t = self._tmp()
         av = self._read(ins.addr)
-        addr = self._addr_expr(av, t)
         eff = "None" if ctx.kind == "full" else ctx.arr
-        is_g = "True" if ins.space == MemSpace.GLOBAL else "False"
-        svs = "None" if ins.space == MemSpace.GLOBAL else "_svs"
-        self._line(f"_vw{t}, _ix{t} = _resolve(X, B, {svs}, {addr}, "
-                   f"{eff}, DT['{dt.name}'], {is_g}, True)")
         if sv.uniform:
             self._line(f"_sf{t} = np.full(_L, {sv.expr}, dtype=np.{npn})")
             src = f"_sf{t}"
         else:
             src = sv.expr
         want = ins.dst is not None
-        self._line(f"_o{t} = _atomic(_vw{t}, _ix{t}, {eff}, {src}, "
-                   f"'{ins.op}', {want}, _L, np.{npn})")
+        call = f"{eff}, {src}, '{ins.op}', {want}, _L, np.{npn})"
+        # One address on every lane: the same ufunc.at over the active
+        # lanes' values, indexed by a broadcast view instead of a
+        # resolved lane-wide index array.  Only ops that return no old
+        # value, on global memory (a shared address differs per block).
+        uniform = (not want and ins.op in ("add", "min", "max")
+                   and ins.space == MemSpace.GLOBAL
+                   and self._uniform_addr(ins, av))
+        if uniform:
+            self._uniform_gate(ins, av, t, dt.itemsize)
+            self._line(f"    _o{t} = _atomic(_gv_{dt.name}, "
+                       f"np.broadcast_to(_j{t}, _L), {call}")
+            self._line("else:")
+            self.ind += 1
+        addr = self._addr_expr(av, t)
+        is_g = "True" if ins.space == MemSpace.GLOBAL else "False"
+        svs = "None" if ins.space == MemSpace.GLOBAL else "_svs"
+        self._line(f"_vw{t}, _ix{t} = _resolve(X, B, {svs}, {addr}, "
+                   f"{eff}, DT['{dt.name}'], {is_g}, True)")
+        self._line(f"_o{t} = _atomic(_vw{t}, _ix{t}, {call}")
+        if uniform:
+            self.ind -= 1
         if want:
             self._assign(ins.dst, _Val(f"_o{t}", dt, False), ctx)
         self._line(f"_ao += {ctx.n}")

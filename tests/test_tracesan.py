@@ -59,6 +59,12 @@ def _triad_source():
     return ir, src, bpb
 
 
+def _dot_source():
+    ir = KERNEL_LIBRARY["stream_dot"].ir
+    src, bpb = _compile(ir, GRID, BLOCK3)
+    return ir, src, bpb
+
+
 def _codes(ir, src, bpb):
     v = validate_program(ir, src, 32, GRID, BLOCK3, bpb)
     return v, {d.code for d in v.diagnostics}
@@ -211,6 +217,75 @@ class TestSeededMiscompiles:
         v, codes = _codes(ir, "\n".join(lines), bpb)
         assert not v.validated
         assert "TC01" in codes
+
+    def test_clean_dot_program_validates(self):
+        """stream_dot carries releases and both uniform-address gates."""
+        ir, src, bpb = _dot_source()
+        assert "np.broadcast_to(" in src and " + 1 * 8 <= " in src
+        assert re.search(r"\n    _ix\d+ = .* = None\n", src)
+        v, codes = _codes(ir, src, bpb)
+        assert v.validated and v.exact and not codes
+
+    def test_release_above_a_read_fires_tc01(self):
+        """A release moved above the statement that last reads one of
+        its names leaves that statement reading a dead local."""
+        ir, src, bpb = _dot_source()
+        lines = src.split("\n")
+        body = lines.index("    _ic += _L")
+        rel = next(i for i in range(body, len(lines))
+                   if re.fullmatch(r"    (\w+ = )+None", lines[i]))
+        prev = next(j for j in range(rel - 1, 0, -1)
+                    if re.match(r"    \S", lines[j])
+                    and not lines[j].startswith("    else:"))
+        lines.insert(prev, lines.pop(rel))
+        v, codes = _codes(ir, "\n".join(lines), bpb)
+        assert not v.validated
+        assert "TC01" in codes
+        assert any("read after its release" in d.message
+                   for d in v.diagnostics)
+
+    @pytest.mark.parametrize("pattern,repl", [
+        # element size: the atomic's gate checks a 4-byte span
+        (r"(_span_ok\(X, _b\d+, 1, )8\)", r"\g<1>4)"),
+        # element size: the shared load's gate checks 4-byte alignment
+        (r"(0 <= (_b\d+) and \2) % 8 == 0( and \2 \+ 1 \*)",
+         r"\1 % 4 == 0\3"),
+        # space: the shared load guarded as if it were global
+        (r"0 <= (_b\d+) and \1 % 8 == 0 and \1 \+ 1 \* 8 <= \d+",
+         r"\1 % 8 == 0 and _span_ok(X, \1, 1, 8)"),
+        # space: the global atomic applied to the shared arena
+        (r"_atomic\(_gv_f64, np\.broadcast_to", "_atomic(_sv_f64, "
+                                                 "np.broadcast_to"),
+        # op: the fast arm applies max where the IR adds
+        (r"(np\.broadcast_to\(_j\d+, _L\), [^']*)'add'", r"\1'max'"),
+    ], ids=["atomic-size", "load-size", "load-space", "atomic-space",
+            "atomic-op"])
+    def test_wrong_uniform_gate_fires_tc01(self, pattern, repl):
+        ir, src, bpb = _dot_source()
+        mutated, count = re.subn(pattern, repl, src)
+        assert count == 1
+        v, codes = _codes(ir, mutated, bpb)
+        assert not v.validated
+        assert "TC01" in codes
+
+
+def test_block_prefix_against_an_immediate_validates():
+    """``if tid < 100`` gates a per-block prefix whose bound the program
+    spells ``int(np.int64(100))``: a constant, not an unbound symbol."""
+    from repro.isa import IRBuilder, dtypes
+
+    b = IRBuilder("first_hundred")
+    b.param("n", dtypes.I64)
+    out = b.param("out", dtypes.F64, pointer=True)
+    t = b.global_id()
+    tid = b.cvt(b.special("tid.x"), dtypes.I64)
+    with b.if_(b.lt(tid, 100)):
+        b.store_elem(out, t, 1.0, dtypes.F64)
+    ir = b.build()
+    src, bpb = _compile(ir, GRID, BLOCK3)
+    assert "int(np.int64(100))" in src
+    v, codes = _codes(ir, src, bpb)
+    assert v.validated and v.exact and not codes
 
 
 # -- shared fuzz corpus, static half -----------------------------------------

@@ -9,10 +9,13 @@ generated straight-line kernels through all three execution tiers
 indistinguishable except through the trace totals.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from repro.errors import DivergentBarrierError
+from repro.errors import DivergentBarrierError, MemoryFaultError
+from repro.gpu.memory import DeviceMemory
 from repro.isa import IRBuilder, KernelExecutor, dtypes
 from repro.isa.interpreter import snapshot_interpreter_totals
 from repro.isa.tracing import (
@@ -422,6 +425,181 @@ def test_divergent_barrier_raises_in_both_modes(trace):
     ex = KernelExecutor(b.build(), 32, mem, trace_mode=trace)
     with pytest.raises(DivergentBarrierError, match="16 of 64"):
         ex.launch((4,), (64,), [0])
+
+
+def _fault_text(ir, grid, block, args, image, *, trace, device):
+    """The MemoryFaultError one launch raises, as text."""
+    mem = image.copy()
+    validator = None
+    if device:
+        # One live allocation holds the image; the slack past it is
+        # backing store no allocation owns.
+        dm = DeviceMemory(image.size + 4096)
+        assert int(dm.alloc(image.size)) == 0
+        dm.buffer[: image.size] = image
+        mem, validator = dm.buffer, dm.validate
+    ex = KernelExecutor(ir, 32, mem, validator=validator, trace_mode=trace)
+    with pytest.raises(MemoryFaultError) as exc:
+        ex.launch(grid, block, args)
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("device", [False, True], ids=["raw", "device"])
+@pytest.mark.parametrize("fault", ["misaligned", "out_of_bounds"])
+@pytest.mark.parametrize("name", ["stream_dot", "reduce_sum", "reduce_max"])
+def test_uniform_out_faults_match_the_interpreter(name, fault, device, rng):
+    """A bad `out` fails the closing atomic's uniform-address gate, and
+    its generic path raises the interpreter's exact message."""
+    ir, grid, block, args, image = _setup(name, 4096, rng)
+    args = list(args)
+    args[-1] = args[-1] + 4 if fault == "misaligned" else image.size
+    traced = _fault_text(ir, grid, block, args, image, trace=True,
+                         device=device)
+    interpreted = _fault_text(ir, grid, block, args, image, trace=False,
+                              device=device)
+    assert traced == interpreted
+    assert ("misaligned f64" in traced) == (fault == "misaligned")
+
+
+def _tile_reader(full: bool):
+    """Each block stages its thread ids in a 128-element tile, then
+    reads ``tile[k]`` (one address on every lane) into ``out``."""
+    b = IRBuilder("tile_reader_full" if full else "tile_reader")
+    k = b.param("k", dtypes.I64)
+    out = b.param("out", dtypes.F64, pointer=True)
+    sh = b.shared_alloc(dtypes.F64, BLOCK)
+    tid = b.cvt(b.special("tid.x"), dtypes.I64)
+    b.store_elem(sh, tid, b.cvt(tid, dtypes.F64), dtypes.F64, space="shared")
+    b.barrier()
+    slot = b.global_id()
+    if full:
+        v = b.load_elem(sh, k, dtypes.F64, space="shared")
+        b.store_elem(out, slot, v, dtypes.F64)
+    else:
+        with b.if_(b.eq(tid, 0)):
+            v = b.load_elem(sh, k, dtypes.F64, space="shared")
+            b.store_elem(out, slot, v, dtypes.F64)
+    return b.build()
+
+
+@pytest.mark.parametrize("full", [False, True], ids=["masked", "full"])
+def test_uniform_shared_load_past_its_tile_faults_identically(full):
+    ir = _tile_reader(full)
+    image = np.zeros(4 * BLOCK * 8 + 64, dtype=np.uint8)
+    grid, block = (4,), (BLOCK,)
+    texts = {_fault_text(ir, grid, block, [BLOCK, 0], image, trace=t,
+                         device=False) for t in (True, False)}
+    assert texts == {f"kernel '{ir.name}': shared access beyond "
+                     f"{BLOCK * 8} allocated bytes"}
+    # In range, both tiers agree on every byte and counter.
+    (mem_t, st_t), delta = _trace_delta(
+        lambda: _run(ir, grid, block, [5, 0], image, trace=True))
+    mem_i, st_i = _run(ir, grid, block, [5, 0], image, trace=False)
+    np.testing.assert_array_equal(mem_t, mem_i)
+    assert _counters(st_t) == _counters(st_i)
+    assert delta["traced_launches"] == 1
+
+
+def _uniform_kernel(where: str):
+    """Uniform-address loads (global and shared) and atomics (add, max,
+    a uniform-valued min) under one kind of active mask."""
+    b = IRBuilder(f"uniform_{where}")
+    n = b.param("n", dtypes.I64)
+    a = b.param("a", dtypes.F64, pointer=True)
+    bb = b.param("b", dtypes.F64, pointer=True)
+    out = b.param("out", dtypes.F64, pointer=True)
+    sh = b.shared_alloc(dtypes.F64, BLOCK)
+    t = b.global_id()
+    tid = b.cvt(b.special("tid.x"), dtypes.I64)
+    x = b.load_elem(a, t, dtypes.F64)
+    b.store_elem(sh, tid, x, dtypes.F64, space="shared")
+    b.barrier()
+    g_addr = b.elem_addr(bb, 3, dtypes.F64)
+    s_addr = b.elem_addr(sh, 5, dtypes.F64)
+
+    def body():
+        g = b.load(dtypes.F64, g_addr)
+        s = b.load(dtypes.F64, s_addr, space="shared")
+        b.store_elem(out, t, b.add(g, s), dtypes.F64)
+        b.atomic("add", b.elem_addr(out, n, dtypes.F64), x)
+        b.atomic("max", b.elem_addr(out, b.add(n, 1), dtypes.F64), s)
+        b.atomic("min", b.elem_addr(out, b.add(n, 2), dtypes.F64), 0.25)
+
+    if where == "full":
+        body()
+    elif where == "lin":
+        with b.if_(b.lt(t, b.sub(n, 5))):
+            body()
+    elif where == "block":
+        with b.if_(b.lt(tid, 100)):
+            body()
+    elif where == "gen":
+        with b.if_(b.lt(x, 0.5)):
+            body()
+    else:  # a varying loop: the loads' registers merge across trips
+        v = b.named("v", dtypes.F64)
+        b.mov(v, 0.0)
+        left = b.named("left", dtypes.I64)
+        b.mov(left, b.rem(t, 3))
+        with b.while_() as loop:
+            with loop.cond():
+                loop.set_cond(b.gt(left, 0))
+            g = b.load(dtypes.F64, g_addr)
+            s = b.load(dtypes.F64, s_addr, space="shared")
+            b.mov(v, b.add(v, b.mul(g, s)))
+            b.mov(left, b.sub(left, 1))
+        b.store_elem(out, t, v, dtypes.F64)
+    return b.build()
+
+
+@pytest.mark.parametrize("where", ["full", "lin", "block", "gen", "loop"])
+def test_uniform_address_fast_paths_bit_identical(where):
+    from repro.analysis.tracesan import validate_program
+    from repro.isa.tracing import _TraceCompiler
+    from tests.trace_fuzz import FuzzCase
+
+    case = FuzzCase(f"uniform_{where}", _uniform_kernel(where), 5 * BLOCK)
+    image = case.image()
+    (mem_t, st_t), delta = _trace_delta(
+        lambda: _run(case.ir, case.grid, case.block, case.args, image,
+                     trace=True))
+    mem_i, st_i = _run(case.ir, case.grid, case.block, case.args, image,
+                       trace=False)
+    mem_1, st_1 = _run(case.ir, case.grid, case.block, case.args, image,
+                       trace=False, width=1)
+    np.testing.assert_array_equal(mem_t, mem_i)
+    np.testing.assert_array_equal(mem_t, mem_1)
+    assert _counters(st_t) == _counters(st_i) == _counters(st_1)
+    assert delta["traced_launches"] == 1
+
+    grid3, block3 = (case.grid[0], 1, 1), (BLOCK, 1, 1)
+    source = _TraceCompiler(case.ir, 32, grid3, block3, 2048).compile()
+    gates = source.count(", 1, 8)") + source.count(" + 1 * 8 <= ")
+    atomics = 0 if where == "loop" else 3
+    assert source.count("np.broadcast_to(") == atomics
+    assert gates == 2 + atomics
+    verdict = validate_program(case.ir, source, 32, grid3, block3, 2048)
+    assert verdict.validated and verdict.exact, \
+        [d.render() for d in verdict.diagnostics]
+
+
+def test_traced_dot_launch_peak_stays_bounded(rng):
+    """One warm traced stream_dot launch over 65,536 lanes (grid 256 x
+    block 256) peaks under 12 MB of temporaries: the program releases
+    each lane array after its last use, and the closing atomic resolves
+    its one address instead of 65,536 copies of it."""
+    ir, grid, block, args, image = _setup("stream_dot", 1 << 16, rng)
+    assert grid == (256,)
+    ex = KernelExecutor(ir, 32, image.copy(), trace_mode=True)
+    _, delta = _trace_delta(lambda: ex.launch(grid, block, args))
+    assert delta["traced_launches"] == 1
+    tracemalloc.start()
+    try:
+        ex.launch(grid, block, args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6, f"peak {peak / 1e6:.1f} MB"
 
 
 # -- metrics surface ----------------------------------------------------------
