@@ -90,10 +90,11 @@ def test_probe_suite_sensitivity(artifacts_dir):
 
 
 def _run_reference_scalar(kernel, warp_size, mem, grid, block, args):
-    """Scalar (chunk=1-block) execution for the vectorization ablation."""
+    """Scalar (one block per batch) execution for the vectorization
+    ablation."""
     from repro.isa.interpreter import KernelExecutor
 
-    ex = KernelExecutor(kernel, warp_size, mem, chunk_lanes=1)
+    ex = KernelExecutor(kernel, warp_size, mem, max_blocks_per_batch=1)
     return ex.launch(grid, block, args)
 
 
@@ -111,13 +112,13 @@ def test_vectorized_interpreter_equivalence():
     b_h, c_h = rng.random(n), rng.random(n)
 
     results = []
-    for chunk in (1, 1 << 18):
+    for width in (1, None):
         mem = np.zeros(1 << 19, dtype=np.uint8)
         mem[: n * 8] = np.zeros(n).view(np.uint8)
         mem[n * 8: 2 * n * 8] = b_h.view(np.uint8)
         mem[2 * n * 8: 3 * n * 8] = c_h.view(np.uint8)
         ex = KernelExecutor(binary.kernel("stream_triad"), binary.warp_size,
-                            mem, chunk_lanes=chunk)
+                            mem, max_blocks_per_batch=width)
         ex.launch(((n + 255) // 256,), (256,), [n, 0.4, 0, n * 8, 2 * n * 8])
         results.append(mem[: n * 8].view(np.float64).copy())
     assert np.array_equal(results[0], results[1])
@@ -141,8 +142,7 @@ def test_vectorization_speedup_benchmark(benchmark):
     grid, block = ((n + 255) // 256,), (256,)
 
     def run_vectorized():
-        ex = KernelExecutor(binary.kernel("stream_triad"), 32, mem,
-                            chunk_lanes=1 << 18)
+        ex = KernelExecutor(binary.kernel("stream_triad"), 32, mem)
         return ex.launch(grid, block, args)
 
     stats = benchmark(run_vectorized)
@@ -150,7 +150,8 @@ def test_vectorization_speedup_benchmark(benchmark):
 
     # One timed reference pass with per-block batches (256 lanes each).
     t0 = time.perf_counter()
-    ex = KernelExecutor(binary.kernel("stream_triad"), 32, mem, chunk_lanes=1)
+    ex = KernelExecutor(binary.kernel("stream_triad"), 32, mem,
+                        max_blocks_per_batch=1)
     ex.launch(grid, block, args)
     t_scalar = time.perf_counter() - t0
     t_vector = benchmark.stats.stats.mean

@@ -65,7 +65,8 @@ from repro.isa.instructions import (
     UnaryOp,
     While,
 )
-from repro.isa.interpreter import LaunchStats, _c_int_div, _c_int_rem
+from repro.isa import interpreter
+from repro.isa.interpreter import LaunchStats
 from repro.isa.module import KernelIR
 
 #: Stride classes, most to least desirable.
@@ -78,12 +79,6 @@ MAX_STATIC_LANES = 1 << 21
 #: Give up on loops after this many body trips (marked inexact) — far
 #: above anything the library kernels do under canonical launches.
 MAX_STATIC_TRIPS = 1 << 17
-
-# Mirrors of the interpreter's batching constants, for the analytic
-# batch count (the one counter that depends on batch geometry).
-_CHUNK_LANES = 1 << 18
-_SHARED_ROW_ALIGN = 16
-_SHARED_ARENA_BYTES = 32 * 1024 * 1024
 
 
 class _Unknown:
@@ -196,14 +191,11 @@ def _stride_map(kernel: KernelIR, bounds: LaunchBounds) -> dict[int, str]:
 
 def _predicted_batches(kernel: KernelIR, n_blocks: int,
                        block_threads: int) -> int:
-    """Mirror of the interpreter's batch split, computed analytically."""
-    blocks_per_batch = max(1, _CHUNK_LANES // block_threads)
-    if kernel.uses_shared():
-        shared_bytes = max(kernel.shared_bytes, 8)
-        stride = -(-shared_bytes // _SHARED_ROW_ALIGN) * _SHARED_ROW_ALIGN
-        blocks_per_batch = min(blocks_per_batch,
-                               max(1, _SHARED_ARENA_BYTES // stride))
-    return -(-n_blocks // blocks_per_batch)
+    """The interpreter's batch count (the one counter that depends on
+    batch geometry), from its own batch policy."""
+    width = interpreter.blocks_per_batch(
+        block_threads, interpreter.shared_layout(kernel)[1])
+    return -(-n_blocks // width)
 
 
 class _CostWalker:
@@ -237,8 +229,7 @@ class _CostWalker:
         self._trips = 0
         self._specials: dict[str, np.ndarray] = {}
         self._lin: np.ndarray | None = None
-        self._warp_base: np.ndarray | None = None
-        self._warp_len: np.ndarray | None = None
+        self._warp: tuple[np.ndarray, np.ndarray] | None = None
         for param in self.kernel.params:
             dt = dtypes.U64 if param.is_pointer else param.dtype
             value = args.get(param.name, UNKNOWN)
@@ -296,17 +287,6 @@ class _CostWalker:
                     raise KeyError(which)
         self._specials[which] = value
         return value
-
-    def _warp_geometry(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._warp_base is None:
-            lin = self._lane_index()
-            block_lin = lin % self.block_threads
-            warp_start = (block_lin // self.warp_size) * self.warp_size
-            self._warp_base = (lin - block_lin) + warp_start
-            self._warp_len = np.minimum(
-                self.warp_size,
-                self.block_threads - warp_start).astype(np.int64)
-        return self._warp_base, self._warp_len
 
     # -- lattice helpers ----------------------------------------------------
 
@@ -389,7 +369,8 @@ class _CostWalker:
                 self.assign(instr.dst, UNKNOWN, eff, n_active)
             else:
                 self.assign(instr.dst,
-                            self._binop(instr.op, a, b, instr.dst.dtype),
+                            interpreter.binop(instr.op, a, b,
+                                              instr.dst.dtype),
                             eff, n_active)
             if instr.dst.dtype.is_float:
                 st.flops += n_active
@@ -399,8 +380,8 @@ class _CostWalker:
             if src is UNKNOWN:
                 self.assign(instr.dst, UNKNOWN, eff, n_active)
             else:
-                self.assign(instr.dst, self._unary(instr.op, src), eff,
-                            n_active)
+                self.assign(instr.dst, interpreter.UNARY[instr.op](src),
+                            eff, n_active)
             if instr.dst.dtype.is_float:
                 st.flops += n_active
 
@@ -409,10 +390,9 @@ class _CostWalker:
             if a is UNKNOWN or b is UNKNOWN:
                 self.assign(instr.dst, UNKNOWN, eff, n_active)
             else:
-                fn = {"eq": np.equal, "ne": np.not_equal, "lt": np.less,
-                      "le": np.less_equal, "gt": np.greater,
-                      "ge": np.greater_equal}[instr.op]
-                self.assign(instr.dst, fn(a, b), eff, n_active)
+                self.assign(instr.dst,
+                            interpreter.COMPARE[instr.op](a, b),
+                            eff, n_active)
 
         elif isinstance(instr, Select):
             p = self.read(instr.pred)
@@ -548,50 +528,6 @@ class _CostWalker:
         else:  # pragma: no cover - verifier prevents unknown instructions
             raise TypeError(f"unknown instruction {instr!r}")
 
-    # -- arithmetic mirrors -------------------------------------------------
-
-    def _binop(self, op: str, a, b, result: dtypes.DType):
-        if op in ("add", "sub", "mul"):
-            return {"add": np.add, "sub": np.subtract,
-                    "mul": np.multiply}[op](a, b)
-        if op == "div":
-            if result.is_float:
-                return np.divide(a, b)
-            return _c_int_div(np.asarray(a), np.asarray(b))
-        if op == "rem":
-            if result.is_float:
-                return np.mod(a, b)
-            return _c_int_rem(np.asarray(a), np.asarray(b))
-        if op == "min":
-            return np.minimum(a, b)
-        if op == "max":
-            return np.maximum(a, b)
-        if op == "pow":
-            return np.power(a, b)
-        if op == "and":
-            return np.logical_and(a, b) if result.is_pred else np.bitwise_and(a, b)
-        if op == "or":
-            return np.logical_or(a, b) if result.is_pred else np.bitwise_or(a, b)
-        if op == "xor":
-            return np.logical_xor(a, b) if result.is_pred else np.bitwise_xor(a, b)
-        if op == "shl":
-            return np.left_shift(a, b)
-        if op == "shr":
-            return np.right_shift(a, b)
-        raise TypeError(f"unknown binary op '{op}'")  # pragma: no cover
-
-    def _unary(self, op: str, src):
-        fns = {
-            "neg": np.negative, "abs": np.abs, "sqrt": np.sqrt,
-            "exp": np.exp, "log": np.log, "sin": np.sin, "cos": np.cos,
-            "tanh": np.tanh, "floor": np.floor, "ceil": np.ceil,
-            "round": np.rint, "not": np.logical_not,
-            "bitnot": np.bitwise_not,
-        }
-        if op == "rsqrt":
-            return 1.0 / np.sqrt(src)
-        return fns[op](src)
-
     def _shuffle(self, instr: Shuffle, eff: np.ndarray,
                  n_active: int) -> None:
         src = self.read(instr.src)
@@ -601,23 +537,13 @@ class _CostWalker:
             return
         if np.ndim(src) == 0:
             src = np.full(self.lanes, src)
-        if np.ndim(lane) == 0:
-            lane = np.full(self.lanes, lane, dtype=np.uint32)
-        warp_base, warp_len = self._warp_geometry()
-        my = self._lane_index()
-        in_warp = my - warp_base
-        w = self.warp_size
-        if instr.mode == "idx":
-            target = lane.astype(np.int64) % w
-        elif instr.mode == "up":
-            target = in_warp - lane.astype(np.int64)
-        elif instr.mode == "down":
-            target = in_warp + lane.astype(np.int64)
-        else:  # xor
-            target = in_warp ^ lane.astype(np.int64)
-        valid = (target >= 0) & (target < warp_len)
-        source_lane = np.where(valid, warp_base + target, my)
-        self.assign(instr.dst, src[source_lane], eff, n_active)
+        if self._warp is None:
+            # The whole launch as one batch of the interpreter's geometry.
+            self._warp = interpreter._build_geometry(
+                self.n_blocks, self.block, self.warp_size)[3:]
+        source = interpreter.shuffle_source_lanes(
+            instr.mode, lane, *self._warp, self.warp_size)
+        self.assign(instr.dst, src[source], eff, n_active)
 
 
 def cost_kernel(kernel: KernelIR, grid, block, args: dict[str, object],

@@ -58,17 +58,19 @@ import ast
 import re
 import time
 from dataclasses import dataclass, field
+from itertools import zip_longest
 
 from repro.analysis.symbolic import Affine
 from repro.analysis.diagnostics import (Diagnostic, LintReport, Severity,
                                         make)
 from repro.data.trace_divergences import divergence_reason
-from repro.isa import dtypes
+from repro.isa import dtypes, interpreter
 from repro.isa.dtypes import SCALAR_TYPES
 from repro.isa.instructions import (AtomicOp, Barrier, BinOp, Cmp, Cvt, If,
-                                    Imm, Load, MemSpace, Mov, Param,
-                                    Register, Select, SharedAlloc,
-                                    SpecialRead, Store, UnaryOp, While)
+                                    Imm, Load, MemSpace, Mov, Register,
+                                    Select, SharedAlloc, SpecialRead, Store,
+                                    UnaryOp, While)
+from repro.isa.tracing import _dst_of, _np_name
 
 __all__ = [
     "TraceVerdict",
@@ -79,19 +81,6 @@ __all__ = [
     "traces_lint_report",
     "trace_agreement_summary",
 ]
-
-_MAX_LOOP_TRIPS = 10_000_000
-
-
-def _np_name(dt) -> str:
-    name = dt.np_dtype.name
-    return "bool_" if name == "bool" else name
-
-
-def _dst_of(ins):
-    dst = getattr(ins, "dst", None)
-    return dst if isinstance(dst, Register) else None
-
 
 def _unparse(node: ast.AST) -> str:
     return ast.unparse(node)
@@ -135,9 +124,8 @@ class TraceVerdict:
 #: Names the exec namespace provides plus program-local scalars.
 _FIXED_NAMES = frozenset({
     "X", "B", "args", "stats", "np", "DT",
-    "_resolve", "_atomic", "_barrier", "_span_ok",
-    "_cdiv", "_crem",
-    "IRError", "MemoryFaultError", "DivergentBarrierError",
+    "_resolve", "_atomic", "_barrier", "_span_ok", "_cdiv", "_crem",
+    "IRError",
     "bool", "int", "min", "max", "None", "True", "False",
     "_L", "_nB", "_fb", "_ic", "_fl", "_bld", "_bst", "_ao", "_ba",
     "_sh", "_svs",
@@ -295,7 +283,8 @@ class _IRInfo:
             "ntid.x": block[0], "ntid.y": block[1], "ntid.z": block[2],
             "nctaid.x": grid[0], "nctaid.y": grid[1], "nctaid.z": grid[2],
         }
-        self.shared_bytes = max(kernel.shared_bytes, 8)
+        self.shared_bytes, self.shared_stride = interpreter.shared_layout(
+            kernel)
         self.counts: dict[str, int] = {}
         self.sites: dict[str, int] = {}
         self.regdt: dict[str, object] = {}
@@ -598,6 +587,15 @@ def _assign_target(stmt) -> str | None:
     return None
 
 
+def _assigned_local(stmt) -> str | None:
+    """The register local a statement binds: ``rN = ...``, or the
+    ``if rN is None:`` first-assignment form of a merge register."""
+    text = (_unparse(stmt.test) if isinstance(stmt, ast.If)
+            else f"{_assign_target(stmt)} is None")
+    m = re.fullmatch(r"(r\d+) is None", text)
+    return m and m.group(1)
+
+
 def _is_temp(name: str | None, prefix: str) -> bool:
     return (name is not None and name.startswith("_" + prefix)
             and name[len(prefix) + 1:].isdigit())
@@ -696,6 +694,8 @@ class _MCtx:
     full: bool
     n_text: str            # normalized text the `_ic +=` bump must use
     arr: list              # one-slot cell: mask local text, None = unbound
+    k: str | None = None   # prefix-gate population local, prefix arms only
+    per_block: bool = False  # `k` counts threads per block, not lanes
 
     def bind_mask(self, text: str) -> bool:
         """Bind or check the context's mask text; False on conflict."""
@@ -892,12 +892,16 @@ class _Checker:
             if tgt is None:
                 self._tc01("prelude", "non-assignment before first "
                            "instruction")
-            elif tgt.startswith("_gv_"):
-                gv_seen.add(tgt[4:])
-            elif tgt.startswith("_sv_"):
-                sv_seen.add(tgt[4:])
-            elif tgt in ("_sh", "_svs") or tgt.startswith("_s2_"):
-                pass
+            elif tgt in ("_sh", "_svs") or tgt.startswith(("_gv_", "_sv_",
+                                                           "_s2_")):
+                if tgt.startswith("_gv_"):
+                    gv_seen.add(tgt[4:])
+                elif tgt.startswith("_sv_"):
+                    sv_seen.add(tgt[4:])
+                want = self._view_binding(tgt)
+                if _unparse(s.value) != _norm(want):
+                    self._tc01("prelude", f"`{tgt}` bound to "
+                               f"`{_unparse(s.value)}`, expected `{want}`")
             elif tgt.startswith("r") and tgt[1:].isdigit():
                 if (isinstance(s.value, ast.Constant)
                         and s.value.value is None):
@@ -924,6 +928,28 @@ class _Checker:
             self._tc01("prelude", f"{merge_nones} merge slots initialised, "
                        f"analysis requires {want_nones}")
         return i
+
+    def _view_binding(self, tgt: str) -> str:
+        """The one value the prelude may bind a memory-view local to: a
+        typed view of global memory, or of the shared arena whose rows
+        are the interpreter's shared row stride."""
+        if tgt.startswith("_gv_"):
+            return f"X._gview(DT['{tgt[4:]}'])"
+        stride = self.info.shared_stride
+        if stride is None:
+            self._tc01("prelude", f"shared view `{tgt}` bound for a kernel "
+                       "that touches no shared memory")
+        if tgt == "_sh":
+            return "X._shared_arena(_nB)"
+        if tgt == "_svs":
+            pairs = ", ".join(f"'{d}': _sv_{d}"
+                              for d in sorted(self.info.shared_dts))
+            return f"{{{pairs}}}"
+        dtn = tgt[4:]
+        if tgt.startswith("_sv_"):
+            return f"_sh.reshape(-1).view(np.{_np_name(SCALAR_TYPES[dtn])})"
+        return (f"_sv_{dtn}.reshape(_nB, "
+                f"{stride // SCALAR_TYPES[dtn].itemsize})")
 
     def _match_param_bind(self, local, stmt, idx) -> None:
         if idx >= len(self.k.params):
@@ -1118,17 +1144,7 @@ class _Checker:
             self._check_resolve(ins, gate.orelse, ctx, path, store=False)
         elif fast_assign is not None:
             self.fast_gate_ifs.append(gate)
-            test_text = _unparse(gate.test)
-            need = [f"% {isz} == 0"]
-            if is_global:
-                need.append("_span_ok(")
-            else:
-                need.append("0 <= _b")
-                need.append(f"<= {self.info.shared_bytes}")
-            for frag in need:
-                if frag not in test_text:
-                    self._tc01(path, f"fast-path guard lacks `{frag}`; the "
-                               "unchecked access could fault or alias")
+            self._check_contig(ins, fast_assign, gate, ctx, path)
             self._check_base(ins, fast_assign.value, isz, ctx, path)
             self._check_resolve(ins, gate.orelse, ctx, path,
                                 store=not is_load)
@@ -1141,8 +1157,119 @@ class _Checker:
                        f"semantics require {want_stores}")
         d = _dst_of(ins)
         if d is not None:
+            # The generic path ends by assigning the loaded register.
+            loc = _assigned_local(body[-1] if gate is None
+                                  else gate.orelse[-1])
+            if loc is not None:
+                self.local_map[loc] = d.name
             self.env[d.name] = _AVal(d.dtype,
                                      d.name not in self.info.varying)
+
+    def _check_contig(self, ins, fast_assign, gate, ctx: _MCtx,
+                      path: str) -> None:
+        """Prove a contiguous fast path as exactly as a uniform one: its
+        guard admits exactly the run the arm touches, and the arm indexes
+        from the guarded base and reads (or writes) ``[idx:idx + k]`` of
+        the IR's space and dtype, ``k`` the context's run length, parking
+        a load's inactive lanes on element 0 and storing the IR's
+        source."""
+        is_load = isinstance(ins, Load)
+        dt = ins.dst.dtype if is_load else ins.src.dtype
+        dtn, isz, bt = dt.name, dt.itemsize, self.info.bt
+        is_global = ins.space == MemSpace.GLOBAL
+        # Elements covered per batch (global) or per block (shared).
+        k = ("_L" if is_global else str(bt)) if ctx.full else ctx.k
+        if k is None or not ctx.full and ctx.per_block == is_global:
+            self._tc01(path, f"contiguous fast path on a {ins.space} access "
+                       "under a mask that is no prefix of its kind")
+        idx = self._check_guard(ins, _assign_target(fast_assign), gate, isz,
+                                k, path, after_guards=True)
+        run = (f"_gv_{dtn}[{idx}:{idx} + {k}]" if is_global
+               else f"_s2_{dtn}[:, {idx}:{idx} + {k}]")
+        arm = gate.body[1:]
+        if is_load:
+            lines = self._contig_load_lines(ins, arm, gate.orelse, run, k,
+                                            ctx, path)
+        else:
+            lines = self._contig_store_lines(ins, gate.orelse, run, k, ctx,
+                                             path)
+        # `lines` are spelled as ast.unparse spells them.
+        got_arm = ast.unparse(ast.Module(body=arm,
+                                         type_ignores=[])).splitlines()
+        for got, want in zip_longest(got_arm, lines, fillvalue="(end)"):
+            if got != want:
+                self._tc01(path, f"contiguous fast path runs "
+                           f"`{got.strip()}` where the IR's {ins.space} "
+                           f"{dtn} access needs `{want.strip()}`")
+
+    def _contig_load_lines(self, ins, arm, generic, run: str, k: str,
+                           ctx: _MCtx, path: str) -> list[str]:
+        """The contiguous load arm, after its index line: every lane of
+        the loaded register built as the generic gather builds it."""
+        dt = ins.dst.dtype
+        dtn, npn, bt = dt.name, _np_name(dt), self.info.bt
+        if ins.dst.name not in self.info.varying:
+            self._tc01(path, "contiguous fast path loads a uniform register")
+        loc = _assigned_local(generic[-1])
+        if not arm or loc is None or _assigned_local(arm[-1]) != loc:
+            self._tc01(path, "contiguous load arm and generic path assign "
+                       "different registers")
+        if ctx.full:
+            return [f"{loc} = {run}" + (".copy()" if ins.space ==
+                                        MemSpace.GLOBAL else ".flatten()")]
+        merge = ins.dst.name in self.info.merge
+        first = arm[0].body[0] if merge and isinstance(arm[0], ast.If) \
+            else arm[0]
+        a = _assign_target(first)
+        if not _is_temp(a, "a"):
+            self._tc01(path, "prefix load arm builds no lane-wide array")
+        build = [f"{a} = np.empty(_L, dtype=np.{npn})"]
+        if ins.space == MemSpace.GLOBAL:
+            build += [f"{a}[:{k}] = {run}", f"{a}[{k}:] = _gv_{dtn}[0]"]
+            update = f"{loc}[:{k}] = {run}"
+        else:
+            a2 = "_a2" + a[2:]
+            build += [f"{a2} = {a}.reshape(_nB, {bt})",
+                      f"{a2}[:, :{k}] = {run}",
+                      f"{a2}[:, {k}:] = _sv_{dtn}[0]"]
+            update = f"{loc}.reshape(_nB, {bt})[:, :{k}] = {run}"
+        build.append(f"{loc} = {a}")
+        if not merge:
+            return build
+        return ([f"if {loc} is None:"] + ["    " + ln for ln in build]
+                + ["else:", f"    {update}"])
+
+    def _contig_store_lines(self, ins, generic, run: str, k: str,
+                            ctx: _MCtx, path: str) -> list[str]:
+        """The contiguous store arm, after its index line: the IR
+        source's active slab, the value the generic path stores."""
+        uniform = (isinstance(ins.src, Imm)
+                   or ins.src.name not in self.info.varying)
+        value = generic[-1].value if isinstance(generic[-1],
+                                                ast.Assign) else None
+        if not (ctx.full or uniform):
+            value = value.value if isinstance(value, ast.Subscript) else None
+        if value is None:
+            self._tc01(path, "store's generic path writes no source value")
+        src = _unparse(value)
+        if isinstance(ins.src, Imm):
+            if src != _norm(f"np.{_np_name(ins.src.dtype)}"
+                            f"({ins.src.value!r})"):
+                self._tc01(path, f"store writes `{src}`, the IR stores "
+                           f"the immediate {ins.src.value!r}")
+        else:
+            mapped = self.param_local.get(src, self.local_map.get(src))
+            if mapped is not None and mapped != ins.src.name:
+                self._tc01(path, f"store writes register `{mapped}`, the "
+                           f"IR stores `{ins.src.name}`")
+        if uniform:
+            slab = src
+        elif ins.space == MemSpace.GLOBAL:
+            slab = src if ctx.full else f"{src}[:{k}]"
+        else:
+            slab = (f"np.ascontiguousarray({src})"
+                    f".reshape(_nB, {self.info.bt})[:, :{k}]")
+        return [f"{run} = {slab}"]
 
     def _fast_gate(self, stmts, path: str):
         """A fast path's ``_b`` base binding and its guarded branch, or
@@ -1269,20 +1396,32 @@ class _Checker:
         elif mapped != ins.addr.name:
             self._tc01(path, f"uniform fast path resolves register "
                        f"`{mapped}`, the IR addresses `{ins.addr.name}`")
+        return self._check_guard(ins, b, gate, isz, "1", path)
+
+    def _check_guard(self, ins, b: str, gate, isz: int, k: str, path: str,
+                     after_guards: bool = False) -> str:
+        """Prove a fast gate's guard admits exactly ``k`` aligned, legal
+        elements of the access's space from base ``b`` (after the base
+        affine's no-wraparound guards, with ``after_guards``), and that
+        its arm opens by indexing ``b // isz``.  Returns the index
+        temp's name."""
         if ins.space == MemSpace.GLOBAL:
-            want = f"{b} % {isz} == 0 and _span_ok(X, {b}, 1, {isz})"
-            idx = "_j" + b[2:]
+            want = [f"{b} % {isz} == 0", f"_span_ok(X, {b}, {k}, {isz})"]
         else:
-            want = (f"0 <= {b} and {b} % {isz} == 0 and "
-                    f"{b} + 1 * {isz} <= {self.info.shared_bytes}")
-            idx = "_c" + b[2:]
-        if _unparse(gate.test) != _norm(want):
-            self._tc01(path, f"uniform fast-path guard "
-                       f"`{_unparse(gate.test)}` is not `{want}`; the "
-                       "unchecked access could fault or alias")
+            want = [f"0 <= {b}", f"{b} % {isz} == 0",
+                    f"{b} + {k} * {isz} <= {self.info.shared_bytes}"]
+        test = gate.test
+        got = [_unparse(v) for v in (
+            test.values if isinstance(test, ast.BoolOp)
+            and isinstance(test.op, ast.And) else [test])]
+        if (got[-len(want):] if after_guards else got) != want:
+            self._tc01(path, f"fast-path guard `{_unparse(test)}` does not "
+                       f"{'end' if after_guards else 'read'} "
+                       f"`{' and '.join(want)}`"
+                       "; the unchecked access could fault or alias")
+        idx = ("_j" if ins.space == MemSpace.GLOBAL else "_c") + b[2:]
         if not gate.body or _unparse(gate.body[0]) != f"{idx} = {b} // {isz}":
-            self._tc01(path, "uniform fast path does not index the guarded "
-                       "element")
+            self._tc01(path, "fast path does not index its guarded base")
         return idx
 
     def _check_uniform_load(self, ins, idx: str, arm, ctx: _MCtx,
@@ -1528,7 +1667,8 @@ class _Checker:
                 self._tc01(path, f"gate batches lanes `{kind}`-wise but "
                            f"the condition's prefix is `{pf.kind}`")
             self._check_thr(thr, pf, path)
-        return _MCtx(False, n_text, [None]), n_text
+        return (_MCtx(False, n_text, [None], k=gname,
+                      per_block=kind == "block"), n_text)
 
     def _check_thr(self, thr, pf: _APrefix, path: str) -> None:
         node = thr
@@ -1640,10 +1780,11 @@ class _Checker:
                                     for x in guard.body):
             self._tc01(path, "runaway-loop guard missing; an IR loop "
                        "must bound its trip count")
+        trips = interpreter._MAX_LOOP_TRIPS
         if not (isinstance(guard.test.comparators[0], ast.Constant)
-                and guard.test.comparators[0].value == _MAX_LOOP_TRIPS):
+                and guard.test.comparators[0].value == trips):
             self._tc01(path, f"runaway-loop guard bound differs from "
-                       f"{_MAX_LOOP_TRIPS}")
+                       f"{trips}")
         inner = [s for s in inner if s is not guard
                  and not (isinstance(s, ast.AugAssign)
                           and isinstance(s.target, ast.Name)
@@ -1877,20 +2018,11 @@ def validate_program(kernel, source: str, warp_size: int,
         elapsed_ms=(time.perf_counter() - t0) * 1e3)
 
 
-def canonical_batch_width(kernel, block: tuple[int, int, int],
-                          chunk_lanes: int = 1 << 18) -> int:
-    """The blocks-per-batch the interpreter's trace tier would pick for
-    this kernel at its default chunking — the geometry ``lint --traces``
-    validates at."""
-    from repro.isa import interpreter as _interp
-
-    bt = block[0] * block[1] * block[2]
-    bpb = max(1, chunk_lanes // max(1, bt))
-    if kernel.uses_shared():
-        stride = -(-max(kernel.shared_bytes, 8)
-                   // _interp._SHARED_ROW_ALIGN) * _interp._SHARED_ROW_ALIGN
-        bpb = min(bpb, max(1, _interp._SHARED_ARENA_BYTES // stride))
-    return bpb
+def canonical_batch_width(kernel, block: tuple[int, int, int]) -> int:
+    """The blocks-per-batch the interpreter picks for this kernel when
+    nothing caps it — the geometry ``lint --traces`` validates at."""
+    return interpreter.blocks_per_batch(
+        block[0] * block[1] * block[2], interpreter.shared_layout(kernel)[1])
 
 
 def validate_library(kernels: dict | None = None,

@@ -3,11 +3,12 @@
 Execution model
 ---------------
 One NumPy *lane* per GPU thread.  A launch is split into batches of
-``blocks_per_batch = max(1, chunk_lanes // block_threads)`` whole thread
-blocks — for *every* kernel, including those that use shared memory or
-barriers.  Elementwise kernels run as a handful of whole-array NumPy
-operations, and barrier/reduction kernels batch just as wide because
-block-private state is kept per batched block:
+:func:`blocks_per_batch` whole thread blocks (``_CHUNK_LANES`` lanes'
+worth, fewer when a big shared arena would result) — for *every*
+kernel, including those that use shared memory or barriers.
+Elementwise kernels run as a handful of whole-array NumPy operations,
+and barrier/reduction kernels batch just as wide because block-private
+state is kept per batched block:
 
 * **shared memory** is a ``(blocks_in_batch, row_stride)`` arena — one
   zero-initialized row per block — and shared ``Load``/``Store``/
@@ -41,6 +42,11 @@ reconvergence stacks in real SIMT hardware:
 
 The interpreter also meters work (flops, bytes, atomics) per launch;
 :mod:`repro.gpu.perfmodel` turns those counters into simulated time.
+
+The lane semantics (:func:`resolve`, :func:`apply_atomic`,
+:func:`check_barrier`, C division, the op tables, shuffle lanes, the
+batch policy) are module-level, so traced programs and the static cost
+model call this one definition.
 """
 
 from __future__ import annotations
@@ -88,8 +94,14 @@ from repro.isa.module import KernelIR
 #: :class:`MemoryFaultError` for illegal accesses.
 AccessValidator = Callable[[np.ndarray, int, bool], None]
 
-_MAX_LOOP_TRIPS = 10_000_000  # runaway-loop guard for buggy frontends
+#: Runaway-loop guard for buggy frontends.  Read when a loop runs and
+#: when a trace is compiled or validated, so patching it reaches every
+#: tier.
+_MAX_LOOP_TRIPS = 10_000_000
 
+#: Lanes per batch: every kernel batches ``_CHUNK_LANES // block_threads``
+#: whole blocks (at least one), less any shared-arena cap.
+_CHUNK_LANES = 1 << 18
 #: Shared-arena rows are padded to this many bytes so every element size
 #: divides the row stride (block-row offsets stay exact element counts).
 _SHARED_ROW_ALIGN = 16
@@ -234,8 +246,40 @@ class _Batch:
     warp_len: np.ndarray  # per-lane: populated width of its warp
 
 
-def _c_int_div(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+# -- batch policy -------------------------------------------------------------
+
+
+def shared_layout(kernel: KernelIR) -> tuple[int, int | None]:
+    """``(limit, row_stride)`` of one block's shared memory: the bytes an
+    access may touch (the kernel's allocations, at least 8), and that
+    size padded to ``_SHARED_ROW_ALIGN`` as the block's row in the
+    batched arena — ``None`` when the kernel touches no shared memory."""
+    limit = max(kernel.shared_bytes, 8)
+    if not kernel.uses_shared():
+        return limit, None
+    return limit, -(-limit // _SHARED_ROW_ALIGN) * _SHARED_ROW_ALIGN
+
+
+def blocks_per_batch(block_threads: int, row_stride: int | None,
+                     cap: int | None = None) -> int:
+    """Whole blocks per batch: ``_CHUNK_LANES`` lanes' worth, few enough
+    that a shared arena of ``row_stride``-byte rows stays within
+    ``_SHARED_ARENA_BYTES``, and at most ``cap`` (the executor's
+    ``max_blocks_per_batch``)."""
+    width = max(1, _CHUNK_LANES // block_threads)
+    if row_stride is not None:
+        width = min(width, max(1, _SHARED_ARENA_BYTES // row_stride))
+    if cap is not None:
+        width = min(width, max(1, int(cap)))
+    return width
+
+
+# -- arithmetic ---------------------------------------------------------------
+
+
+def c_int_div(a, b) -> np.ndarray:
     """Integer division truncating toward zero (C semantics, not floor)."""
+    a, b = np.asarray(a), np.asarray(b)
     b_safe = np.where(b == 0, 1, b)
     q = a // b_safe
     r = a - q * b_safe
@@ -244,9 +288,213 @@ def _c_int_div(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.where(b == 0, 0, q)
 
 
-def _c_int_rem(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def c_int_rem(a, b) -> np.ndarray:
     """Integer remainder with the sign of the dividend (C semantics)."""
-    return a - _c_int_div(a, b) * np.where(b == 0, 1, b)
+    a, b = np.asarray(a), np.asarray(b)
+    return a - c_int_div(a, b) * np.where(b == 0, 1, b)
+
+
+_ARITH = {"add": np.add, "sub": np.subtract, "mul": np.multiply,
+          "min": np.minimum, "max": np.maximum, "pow": np.power,
+          "shl": np.left_shift, "shr": np.right_shift}
+_LOGICAL = {"and": (np.logical_and, np.bitwise_and),
+            "or": (np.logical_or, np.bitwise_or),
+            "xor": (np.logical_xor, np.bitwise_xor)}
+#: ``UnaryOp`` and ``Cmp`` ops on lane values.
+UNARY = {"neg": np.negative, "abs": np.abs, "sqrt": np.sqrt,
+         "rsqrt": lambda x: 1.0 / np.sqrt(x), "exp": np.exp, "log": np.log,
+         "sin": np.sin, "cos": np.cos, "tanh": np.tanh, "floor": np.floor,
+         "ceil": np.ceil, "round": np.rint, "not": np.logical_not,
+         "bitnot": np.bitwise_not}
+COMPARE = {"eq": np.equal, "ne": np.not_equal, "lt": np.less,
+           "le": np.less_equal, "gt": np.greater, "ge": np.greater_equal}
+
+
+def binop(op: str, a, b, result: dtypes.DType):
+    """``BinOp`` ``op`` on lane values, for a ``result``-typed register."""
+    fn = _ARITH.get(op)
+    if fn is not None:
+        return fn(a, b)
+    if op == "div":
+        return np.divide(a, b) if result.is_float else c_int_div(a, b)
+    if op == "rem":
+        return np.mod(a, b) if result.is_float else c_int_rem(a, b)
+    if op in _LOGICAL:
+        logical, bitwise = _LOGICAL[op]
+        return logical(a, b) if result.is_pred else bitwise(a, b)
+    raise IRError(f"unknown binary op '{op}'")  # pragma: no cover
+
+
+# -- memory, atomics, barriers, shuffles -------------------------------------
+
+
+def resolve(X: KernelExecutor, B: _Batch, svs: dict | None,
+            addr: np.ndarray, eff: np.ndarray | None, dt: dtypes.DType,
+            is_global: bool, write: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Fault-check a full-width ``u64`` address array and return
+    ``(typed_view, element_indices)`` for executor ``X`` on batch ``B``.
+
+    Only the lanes in ``eff`` (``None``: every lane) are checked;
+    inactive lanes are parked on element 0 so gathers cannot fault.
+    ``svs`` maps dtype names to flat views of the batch's shared arena
+    (``None`` for global accesses).  Item sizes are powers of two, so
+    alignment and indices are bit operations, and the upper bound is a
+    Python int, so no address wraps.
+    """
+    isz = dt.itemsize
+    full = eff is None or eff.all()
+    active = addr if full else addr[eff]
+    if isz > 1 and (active & (isz - 1)).any():
+        raise MemoryFaultError(
+            f"kernel '{X.kernel.name}': misaligned {dt.name} access"
+        )
+    shift = isz.bit_length() - 1
+    # A shifted address is below 2**63, so its int64 view is its value.
+    idx = (addr >> shift).view(np.int64) if shift else addr.astype(np.int64)
+
+    def _hi():
+        return int(active.max()) if active.size else -isz
+
+    if is_global:
+        if X.validator is not None:
+            X.validator(active, isz, write)
+        elif _hi() + isz > X.gmem.size:
+            raise MemoryFaultError("global access out of device memory")
+        view = X._gview(dt)
+    else:
+        limit = X._shared_bytes
+        if _hi() + isz > limit:
+            raise MemoryFaultError(
+                f"kernel '{X.kernel.name}': shared access beyond "
+                f"{limit} allocated bytes"
+            )
+        view = svs[dt.name]
+        # Kernel addresses are block-local; offset each lane into its
+        # own block's arena row.  The row stride is 16-byte aligned,
+        # so the per-row element count is exact for every dtype.
+        idx += B.block_row * (X._shared_stride // isz)
+    if not full:
+        np.copyto(idx, 0, where=~eff)
+    return view, idx
+
+
+def _prefix_old(view: np.ndarray, sel: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Old values for atomic-add with duplicate addresses.
+
+    Simulates the schedule where lanes hit each address in batch-lane
+    order: lane k's old value is the base plus the sum of earlier
+    lanes' contributions to the same address.
+    """
+    order = np.argsort(sel, kind="stable")
+    sorted_sel = sel[order]
+    sorted_vals = vals[order]
+    csum = np.cumsum(sorted_vals)
+    excl = csum - sorted_vals  # exclusive prefix over the whole batch
+    group_start = np.concatenate(([True], sorted_sel[1:] != sorted_sel[:-1]))
+    group_first = np.maximum.accumulate(
+        np.where(group_start, np.arange(sel.size), 0)
+    )
+    prefix = excl - excl[group_first]  # exclusive prefix within each address
+    old_sorted = view[sorted_sel] + prefix.astype(view.dtype, copy=False)
+    old = np.empty_like(old_sorted)
+    old[order] = old_sorted
+    return old
+
+
+def apply_atomic(view: np.ndarray, idx: np.ndarray, eff: np.ndarray | None,
+                 src: np.ndarray, op: str, want_old: bool, lanes: int,
+                 npdt, compare: np.ndarray | None = None) -> np.ndarray | None:
+    """Apply atomic ``op`` of full-width ``src`` (and, for ``cas``,
+    ``compare``) at ``view[idx]`` for the lanes in ``eff`` (``None``:
+    every lane), in batch-lane order.  Returns the ``lanes``-wide old
+    values (zero on inactive lanes) when ``want_old``, else ``None``."""
+    sel = idx if eff is None else idx[eff]
+    vals = src if eff is None else src[eff]
+    if op == "add":
+        old = _prefix_old(view, sel, vals) if want_old else None
+        np.add.at(view, sel, vals)
+    elif op == "min":
+        old = view[sel].copy() if want_old else None
+        np.minimum.at(view, sel, vals)
+    elif op == "max":
+        old = view[sel].copy() if want_old else None
+        np.maximum.at(view, sel, vals)
+    elif op == "exch":
+        old = view[sel].copy() if want_old else None
+        view[sel] = vals
+    elif op == "cas":
+        old = view[sel].copy()
+        # Within one batch step, only the first lane touching each
+        # address may win its CAS; later lanes observe the post-CAS
+        # value (and, in a CAS loop, retry next trip) — the legal
+        # schedule where the first lane serializes before the rest.
+        _uniq, first = np.unique(sel, return_index=True)
+        winner = np.zeros(sel.size, dtype=bool)
+        winner[first] = True
+        success = winner & (old == (compare if eff is None
+                                    else compare[eff]))
+        view[sel[success]] = vals[success]
+        old = np.where(winner, old, view[sel])
+    else:  # pragma: no cover - verifier prevents this
+        raise IRError(f"unknown atomic '{op}'")
+    if not want_old:
+        return None
+    full_old = np.zeros(lanes, dtype=npdt)
+    if eff is None:
+        full_old[:] = old
+    else:
+        full_old[eff] = old
+    return full_old
+
+
+def check_barrier(X: KernelExecutor, B: _Batch, eff: np.ndarray,
+                  live: np.ndarray | None = None) -> int:
+    """Per-block barrier legality; returns the blocks that arrived.
+
+    Within every block that has a lane at the barrier, the arriving
+    mask ``eff`` must equal the block's ``live`` (non-exited) mask,
+    ``None`` meaning every lane.  Blocks with no active lane are not
+    "at" this barrier (their lanes exited or sit in another branch of
+    the batch's control flow) and are skipped, exactly as a
+    one-block-per-batch run skips them.
+    """
+    act = eff.reshape(B.n_blocks, B.block_threads)
+    live = (np.ones(act.shape, dtype=bool) if live is None
+            else live.reshape(act.shape))
+    arrived = act.any(axis=1)
+    partial = arrived & (act != live).any(axis=1)
+    if partial.any():
+        i = int(np.argmax(partial))
+        raise DivergentBarrierError(
+            f"kernel '{X.kernel.name}': barrier reached by "
+            f"{int(act[i].sum())} of {int(live[i].sum())} live "
+            f"threads in block {B.first_block + i}"
+        )
+    return int(arrived.sum())
+
+
+def shuffle_source_lanes(mode: str, lane, warp_base: np.ndarray,
+                         warp_len: np.ndarray, warp_size: int) -> np.ndarray:
+    """The batch lane each lane's ``shfl.<mode>`` reads from.
+
+    Out-of-range targets (or lanes beyond the populated warp width)
+    keep their own value, matching ``__shfl_*_sync`` clamping.
+    """
+    if np.ndim(lane) == 0:
+        lane = np.full(warp_base.size, lane, dtype=np.uint32)
+    lane = lane.astype(np.int64)
+    my = np.arange(warp_base.size, dtype=np.int64)
+    in_warp = my - warp_base
+    if mode == "idx":
+        target = lane % warp_size
+    elif mode == "up":
+        target = in_warp - lane
+    elif mode == "down":
+        target = in_warp + lane
+    else:  # xor
+        target = in_warp ^ lane
+    valid = (target >= 0) & (target < warp_len)
+    return np.where(valid, warp_base + target, my)
 
 
 class KernelExecutor:
@@ -261,12 +509,10 @@ class KernelExecutor:
             ``None`` for raw (allocator-less) execution in unit tests.
         shared_limit: Per-block shared memory capacity in bytes.
         max_block_threads: Device limit on threads per block.
-        chunk_lanes: Upper bound on lanes per batch; every kernel —
-            including barrier/shared-memory ones — batches
-            ``max(1, chunk_lanes // block_threads)`` blocks at a time.
-        max_blocks_per_batch: Optional cap on blocks per batch.  ``1``
-            reproduces the historical block-isolated execution exactly;
-            the differential tests and benchmarks sweep this knob.
+        max_blocks_per_batch: Optional cap on the blocks per batch that
+            :func:`blocks_per_batch` picks.  ``1`` reproduces the
+            historical block-isolated execution exactly; the
+            differential tests and benchmarks sweep this knob.
         trace_mode: ``True`` fuses each batch through the trace compiler
             (``repro.isa.tracing``) when the kernel traces cleanly,
             ``False`` forces the batched dispatch loop, ``None`` (the
@@ -284,7 +530,6 @@ class KernelExecutor:
         validator: AccessValidator | None = None,
         shared_limit: int = 64 * 1024,
         max_block_threads: int = 1024,
-        chunk_lanes: int = 1 << 18,
         max_blocks_per_batch: int | None = None,
         trace_mode: bool | None = None,
     ):
@@ -296,18 +541,14 @@ class KernelExecutor:
         self.validator = validator
         self.shared_limit = shared_limit
         self.max_block_threads = max_block_threads
-        self.chunk_lanes = chunk_lanes
         self.max_blocks_per_batch = max_blocks_per_batch
         self.trace_mode = trace_mode
         # Typed views of global memory, built lazily per element type.
         self._gviews: dict[str, np.ndarray] = {}
-        self._uses_shared = kernel.uses_shared()
         # Per-block logical shared size (bounds checks) and the padded
         # row stride that gives each batched block its own arena row.
-        self._shared_bytes = max(kernel.shared_bytes, 8)
-        self._shared_stride = (
-            -(-self._shared_bytes // _SHARED_ROW_ALIGN) * _SHARED_ROW_ALIGN
-        )
+        self._shared_bytes, self._shared_stride = shared_layout(kernel)
+        self._uses_shared = self._shared_stride is not None
         self._shared_buf: np.ndarray | None = None
         # Full batches keyed by (first_block, n_blocks, grid, block);
         # a miss takes the shape-only tables from the process-wide
@@ -355,18 +596,8 @@ class KernelExecutor:
         total = n_blocks * block_threads
         stats = LaunchStats(threads=total)
 
-        blocks_per_batch = max(1, self.chunk_lanes // block_threads)
-        if self._uses_shared:
-            # Keep the batched shared arena bounded: kernels with big
-            # per-block tiles trade batch width for arena size.
-            blocks_per_batch = min(
-                blocks_per_batch,
-                max(1, _SHARED_ARENA_BYTES // self._shared_stride),
-            )
-        if self.max_blocks_per_batch is not None:
-            blocks_per_batch = min(
-                blocks_per_batch, max(1, int(self.max_blocks_per_batch))
-            )
+        width = blocks_per_batch(block_threads, self._shared_stride,
+                                 self.max_blocks_per_batch)
 
         dims = {
             "ntid.x": block[0], "ntid.y": block[1], "ntid.z": block[2],
@@ -382,10 +613,10 @@ class KernelExecutor:
             if mode is None:
                 mode = tracing.default_trace_mode()
             if mode:
-                traced = tracing.lookup(self, grid, block, blocks_per_batch)
+                traced = tracing.lookup(self, grid, block, width)
         with np.errstate(all="ignore"):
-            for first_block in range(0, n_blocks, blocks_per_batch):
-                n = min(blocks_per_batch, n_blocks - first_block)
+            for first_block in range(0, n_blocks, width):
+                n = min(width, n_blocks - first_block)
                 batch = self._make_batch(first_block, n, grid, block)
                 if traced is not None:
                     traced.fn(self, batch, args, stats)
@@ -567,21 +798,19 @@ class _ExecState:
 
         elif isinstance(instr, BinOp):
             a, b = self.read(instr.a), self.read(instr.b)
-            self.assign(instr.dst, self._binop(instr.op, a, b, instr.dst.dtype), eff)
+            self.assign(instr.dst, binop(instr.op, a, b, instr.dst.dtype), eff)
             if instr.dst.dtype.is_float:
                 st.flops += n_active
 
         elif isinstance(instr, UnaryOp):
             src = self.read(instr.src)
-            self.assign(instr.dst, self._unary(instr.op, src), eff)
+            self.assign(instr.dst, UNARY[instr.op](src), eff)
             if instr.dst.dtype.is_float:
                 st.flops += n_active
 
         elif isinstance(instr, Cmp):
             a, b = self.read(instr.a), self.read(instr.b)
-            fn = {"eq": np.equal, "ne": np.not_equal, "lt": np.less,
-                  "le": np.less_equal, "gt": np.greater, "ge": np.greater_equal}[instr.op]
-            self.assign(instr.dst, fn(a, b), eff)
+            self.assign(instr.dst, COMPARE[instr.op](a, b), eff)
 
         elif isinstance(instr, Select):
             p = self.read(instr.pred)
@@ -600,7 +829,7 @@ class _ExecState:
 
         elif isinstance(instr, Store):
             self._store(instr, eff)
-            st.bytes_stored += n_active * _operand_dtype(instr.src).itemsize
+            st.bytes_stored += n_active * instr.src.dtype.itemsize
 
         elif isinstance(instr, SharedAlloc):
             nbytes = instr.dtype.itemsize * instr.count
@@ -612,25 +841,8 @@ class _ExecState:
             self.assign(instr.dst, np.uint64(base), eff)
 
         elif isinstance(instr, Barrier):
-            # Per-block legality: within every block that has a lane at
-            # the barrier, the arriving mask must equal the block's live
-            # (non-exited) mask.  Blocks with no active lane are not "at"
-            # this barrier (their lanes exited or sit in another branch
-            # of this batch's control flow) and are skipped, exactly as
-            # the old one-block-per-batch path skipped them.
-            b = self.batch
-            act = eff.reshape(b.n_blocks, b.block_threads)
-            live = (~self.exited).reshape(b.n_blocks, b.block_threads)
-            arrived = act.any(axis=1)
-            partial = arrived & (act != live).any(axis=1)
-            if partial.any():
-                i = int(np.argmax(partial))
-                raise DivergentBarrierError(
-                    f"kernel '{self.x.kernel.name}': barrier reached by "
-                    f"{int(act[i].sum())} of {int(live[i].sum())} live "
-                    f"threads in block {b.first_block + i}"
-                )
-            st.barriers += int(arrived.sum())
+            st.barriers += check_barrier(self.x, self.batch, eff,
+                                         ~self.exited)
 
         elif isinstance(instr, AtomicOp):
             self._atomic(instr, eff)
@@ -677,102 +889,31 @@ class _ExecState:
         else:  # pragma: no cover - verifier prevents this
             raise IRError(f"unknown instruction {instr!r}")
 
-    # -- arithmetic helpers ------------------------------------------------
+    # -- memory and cross-lane helpers -------------------------------------
 
-    def _binop(self, op: str, a, b, result: dtypes.DType):
-        if op in ("add", "sub", "mul"):
-            return {"add": np.add, "sub": np.subtract, "mul": np.multiply}[op](a, b)
-        if op == "div":
-            if result.is_float:
-                return np.divide(a, b)
-            return _c_int_div(np.asarray(a), np.asarray(b))
-        if op == "rem":
-            if result.is_float:
-                return np.mod(a, b)
-            return _c_int_rem(np.asarray(a), np.asarray(b))
-        if op == "min":
-            return np.minimum(a, b)
-        if op == "max":
-            return np.maximum(a, b)
-        if op == "pow":
-            return np.power(a, b)
-        if op == "and":
-            return np.logical_and(a, b) if result.is_pred else np.bitwise_and(a, b)
-        if op == "or":
-            return np.logical_or(a, b) if result.is_pred else np.bitwise_or(a, b)
-        if op == "xor":
-            return np.logical_xor(a, b) if result.is_pred else np.bitwise_xor(a, b)
-        if op == "shl":
-            return np.left_shift(a, b)
-        if op == "shr":
-            return np.right_shift(a, b)
-        raise IRError(f"unknown binary op '{op}'")  # pragma: no cover
-
-    def _unary(self, op: str, src):
-        fns = {
-            "neg": np.negative, "abs": np.abs, "sqrt": np.sqrt,
-            "exp": np.exp, "log": np.log, "sin": np.sin, "cos": np.cos,
-            "tanh": np.tanh, "floor": np.floor, "ceil": np.ceil,
-            "round": np.rint, "not": np.logical_not,
-            "bitnot": np.bitwise_not,
-        }
-        if op == "rsqrt":
-            return 1.0 / np.sqrt(src)
-        return fns[op](src)
-
-    # -- memory helpers ---------------------------------------------------------
+    def _full(self, op: Operand, np_dtype=None) -> np.ndarray:
+        """An operand as a lane-wide array (scalars broadcast)."""
+        value = self.read(op)
+        if np.ndim(value) == 0:
+            value = np.full(self.batch.lanes, value, dtype=np_dtype)
+        return value
 
     def _resolve(self, instr, dtype: dtypes.DType, eff: np.ndarray, write: bool):
         """Validate addresses and return (typed_view, element_indices)."""
-        addr = self.read(instr.addr)
-        if np.ndim(addr) == 0:
-            addr = np.full(self.batch.lanes, addr, dtype=np.uint64)
-        active_addr = addr[eff]
-        if ((active_addr % dtype.itemsize) != 0).any():
-            raise MemoryFaultError(
-                f"kernel '{self.x.kernel.name}': misaligned {dtype.name} access"
-            )
-        idx = (addr // dtype.itemsize).astype(np.int64)
-        if instr.space == MemSpace.GLOBAL:
-            if self.x.validator is not None:
-                self.x.validator(active_addr, dtype.itemsize, write)
-            elif (active_addr.astype(np.int64) + dtype.itemsize > self.x.gmem.size).any():
-                raise MemoryFaultError("global access out of device memory")
-            view = self.x._gview(dtype)
-        else:
-            limit = self.x._shared_bytes
-            if (active_addr.astype(np.int64) + dtype.itemsize > limit).any():
-                raise MemoryFaultError(
-                    f"kernel '{self.x.kernel.name}': shared access beyond "
-                    f"{limit} allocated bytes"
-                )
-            view = self._shared_view(dtype)
-            # Kernel addresses are block-local; offset each lane into its
-            # own block's arena row.  The row stride is 16-byte aligned,
-            # so the per-row element count is exact for every dtype.
-            idx += self.batch.block_row * (
-                self.x._shared_stride // dtype.itemsize
-            )
-        # Park inactive lanes on element 0 so gathers cannot fault.
-        np.copyto(idx, 0, where=~eff)
-        return view, idx
-
-    def _shared_view(self, dtype: dtypes.DType) -> np.ndarray:
-        view = self._shared_views.get(dtype.name)
-        if view is None:
-            if self.shared is None:  # pragma: no cover - uses_shared gate
-                self.shared = self.x._shared_arena(self.batch.n_blocks)
-            view = self.shared.reshape(-1).view(dtype.np_dtype)
-            self._shared_views[dtype.name] = view
-        return view
+        svs = self._shared_views
+        is_global = instr.space == MemSpace.GLOBAL
+        if not is_global and dtype.name not in svs:
+            svs[dtype.name] = self.shared.reshape(-1).view(dtype.np_dtype)
+        return resolve(self.x, self.batch, svs,
+                       self._full(instr.addr, np.uint64), eff, dtype,
+                       is_global, write)
 
     def _load(self, instr: Load, eff: np.ndarray) -> None:
         view, idx = self._resolve(instr, instr.dst.dtype, eff, write=False)
         self.assign(instr.dst, view[idx], eff)
 
     def _store(self, instr: Store, eff: np.ndarray) -> None:
-        dtype = _operand_dtype(instr.src)
-        view, idx = self._resolve(instr, dtype, eff, write=True)
+        view, idx = self._resolve(instr, instr.src.dtype, eff, write=True)
         src = self.read(instr.src)
         if np.ndim(src) == 0:
             view[idx[eff]] = src
@@ -780,101 +921,20 @@ class _ExecState:
             view[idx[eff]] = src[eff]
 
     def _atomic(self, instr: AtomicOp, eff: np.ndarray) -> None:
-        dtype = _operand_dtype(instr.src)
+        dtype = instr.src.dtype
         view, idx = self._resolve(instr, dtype, eff, write=True)
-        src = self.read(instr.src)
-        if np.ndim(src) == 0:
-            src = np.full(self.batch.lanes, src, dtype=dtype.np_dtype)
-        sel = idx[eff]
-        vals = src[eff]
-
-        if instr.op == "add":
-            old = None
-            if instr.dst is not None:
-                old = self._prefix_old(view, sel, vals)
-            np.add.at(view, sel, vals)
-        elif instr.op == "min":
-            old = view[sel].copy() if instr.dst is not None else None
-            np.minimum.at(view, sel, vals)
-        elif instr.op == "max":
-            old = view[sel].copy() if instr.dst is not None else None
-            np.maximum.at(view, sel, vals)
-        elif instr.op == "exch":
-            old = view[sel].copy() if instr.dst is not None else None
-            view[sel] = vals
-        elif instr.op == "cas":
-            compare = self.read(instr.compare)
-            if np.ndim(compare) == 0:
-                compare = np.full(self.batch.lanes, compare, dtype=dtype.np_dtype)
-            old = view[sel].copy()
-            # Within one batch step, only the first lane touching each
-            # address may win its CAS; later lanes observe the post-CAS
-            # value (and, in a CAS loop, retry next trip) — the legal
-            # schedule where the first lane serializes before the rest.
-            _uniq, first = np.unique(sel, return_index=True)
-            winner = np.zeros(sel.size, dtype=bool)
-            winner[first] = True
-            success = winner & (old == compare[eff])
-            view[sel[success]] = vals[success]
-            old = np.where(winner, old, view[sel])
-        else:  # pragma: no cover - verifier prevents this
-            raise IRError(f"unknown atomic '{instr.op}'")
-
-        if instr.dst is not None and old is not None:
-            full_old = np.zeros(self.batch.lanes, dtype=dtype.np_dtype)
-            full_old[eff] = old
-            self.assign(instr.dst, full_old, eff)
-
-    @staticmethod
-    def _prefix_old(view: np.ndarray, sel: np.ndarray, vals: np.ndarray) -> np.ndarray:
-        """Old values for atomic-add with duplicate addresses.
-
-        Simulates the schedule where lanes hit each address in batch-lane
-        order: lane k's old value is the base plus the sum of earlier
-        lanes' contributions to the same address.
-        """
-        order = np.argsort(sel, kind="stable")
-        sorted_sel = sel[order]
-        sorted_vals = vals[order]
-        csum = np.cumsum(sorted_vals)
-        excl = csum - sorted_vals  # exclusive prefix over the whole batch
-        group_start = np.concatenate(([True], sorted_sel[1:] != sorted_sel[:-1]))
-        group_first = np.maximum.accumulate(
-            np.where(group_start, np.arange(sel.size), 0)
-        )
-        prefix = excl - excl[group_first]  # exclusive prefix within each address
-        old_sorted = view[sorted_sel] + prefix.astype(view.dtype, copy=False)
-        old = np.empty_like(old_sorted)
-        old[order] = old_sorted
-        return old
-
-    # -- cross-lane ---------------------------------------------------------
+        compare = (self._full(instr.compare, dtype.np_dtype)
+                   if instr.op == "cas" else None)
+        src = self._full(instr.src, dtype.np_dtype)
+        old = apply_atomic(view, idx, eff, src, instr.op,
+                           instr.dst is not None, self.batch.lanes,
+                           dtype.np_dtype, compare)
+        if old is not None:
+            self.assign(instr.dst, old, eff)
 
     def _shuffle(self, instr: Shuffle, eff: np.ndarray) -> None:
-        src = self.read(instr.src)
-        if np.ndim(src) == 0:
-            src = np.full(self.batch.lanes, src)
-        lane = self.read(instr.lane)
-        if np.ndim(lane) == 0:
-            lane = np.full(self.batch.lanes, lane, dtype=np.uint32)
         b = self.batch
-        my = np.arange(b.lanes, dtype=np.int64)
-        in_warp = my - b.warp_base
-        w = self.x.warp_size
-        if instr.mode == "idx":
-            target = lane.astype(np.int64) % w
-        elif instr.mode == "up":
-            target = in_warp - lane.astype(np.int64)
-        elif instr.mode == "down":
-            target = in_warp + lane.astype(np.int64)
-        else:  # xor
-            target = in_warp ^ lane.astype(np.int64)
-        # Out-of-range targets (or lanes beyond the populated warp width)
-        # keep their own value, matching __shfl_*_sync clamping behaviour.
-        valid = (target >= 0) & (target < b.warp_len)
-        source_lane = np.where(valid, b.warp_base + target, my)
-        self.assign(instr.dst, src[source_lane], eff)
-
-
-def _operand_dtype(op: Operand) -> dtypes.DType:
-    return op.dtype
+        source = shuffle_source_lanes(instr.mode, self.read(instr.lane),
+                                      b.warp_base, b.warp_len,
+                                      self.x.warp_size)
+        self.assign(instr.dst, self._full(instr.src)[source], eff)

@@ -29,7 +29,11 @@ Fast paths (contiguous global slices, per-block shared-row slices,
 prefix masks, and one resolved address where every lane holds the same
 one) are taken only behind compile-time *and* runtime guards that prove
 the result equals the generic path; otherwise the generated code falls
-through to helpers that mirror the interpreter line by line.
+through to the interpreter's own functions: ``_resolve``, ``_atomic``,
+``_barrier``, ``_cdiv`` and ``_crem`` are :mod:`repro.isa.interpreter`'s
+``resolve``, ``apply_atomic``, ``check_barrier``, ``c_int_div`` and
+``c_int_rem``.  Only ``_span_ok``, the contiguous fast paths' bounds
+check, is the trace tier's own.
 
 Lane-array lifetimes
 --------------------
@@ -66,9 +70,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import counters, memo
-from repro.errors import DivergentBarrierError, IRError, MemoryFaultError
+from repro.errors import IRError
 from repro.gpu.memory import DeviceMemory
-from repro.isa import dtypes
+from repro.isa import dtypes, interpreter
 from repro.isa.instructions import (
     AtomicOp,
     Barrier,
@@ -101,8 +105,6 @@ _MAX_TRACE_INSTRS = 512
 #: The bailout-reason taxonomy (see module docstring).
 BAILOUT_REASONS = ("shuffle", "atomic_cas", "exit", "too_large", "unsupported")
 
-_MAX_LOOP_TRIPS = 10_000_000  # keep in sync with interpreter._MAX_LOOP_TRIPS
-
 
 class TraceBailout(Exception):
     """Raised by the compiler when a kernel cannot be traced exactly."""
@@ -126,9 +128,6 @@ class TracedProgram:
     kernel_name: str
     source: str
     fn: object
-    #: tracesan verdict cached alongside the program (filled lazily when
-    #: a caller passes ``validate=True`` to :func:`lookup`).
-    verdict: object = None
 
 
 #: key -> TracedProgram, or a bailout-reason string for cached refusals;
@@ -183,20 +182,13 @@ def trace_key(kernel: KernelIR, warp_size: int,
 
 
 def lookup(executor, grid: tuple[int, int, int], block: tuple[int, int, int],
-           blocks_per_batch: int, *,
-           validate: bool = False) -> TracedProgram | None:
+           blocks_per_batch: int) -> TracedProgram | None:
     """The traced program for one launch shape, compiling on first use.
 
     Returns ``None`` (after recording the bailout) when the kernel can't
     be traced; the caller falls back to the batched interpreter.  Cache
     outcomes count as ``trace.hits|misses|bailouts`` (and
     ``trace.reason.<reason>``) in :mod:`repro.counters`.
-
-    ``validate=True`` additionally runs the tracesan translation
-    validator (:func:`repro.analysis.tracesan.validate_program`) over the
-    generated source and caches the :class:`TraceVerdict` on the
-    program's ``verdict`` field — once per cached program, purely static,
-    never executing the kernel.
     """
     key = trace_key(executor.kernel, executor.warp_size, grid, block,
                     blocks_per_batch)
@@ -219,12 +211,6 @@ def lookup(executor, grid: tuple[int, int, int], block: tuple[int, int, int],
 
     entry = _PROGRAMS.get(key, build)
     if isinstance(entry, TracedProgram):
-        if validate and entry.verdict is None:
-            from repro.analysis import tracesan as _tracesan
-
-            entry.verdict = _tracesan.validate_program(
-                executor.kernel, entry.source, executor.warp_size,
-                grid, block, blocks_per_batch, key=entry.key)
         counters.add(outcome)
         return entry
     counters.merge({"trace.bailouts": 1, "trace.reason." + entry: 1})
@@ -241,109 +227,17 @@ def cached_bailout_reason(kernel: KernelIR, warp_size: int, grid, block,
 
 
 # -- runtime helpers injected into generated programs -------------------------
-#
-# Each replicates the corresponding interpreter code path line by line;
-# the generated code calls them only where the interpreter would have
-# performed the identical operations.
-
-
-def _rt_resolve(X, B, svs, addr, eff, dt, is_global: bool, write: bool):
-    """``_ExecState._resolve`` for a full-array (``u64``) address operand.
-
-    Item sizes are always powers of two, so alignment, bounds, and
-    element-index math use bit ops and a scalar ``max`` reduction in
-    place of the interpreter's modulo/divide/compare sweeps — same
-    verdict and indices, fewer full-width temporaries.  A shifted
-    address is below ``2**63``, so its ``int64`` view equals its cast.
-    """
-    isz = dt.itemsize
-    full = eff is None or eff.all()
-    active = addr if full else addr[eff]
-    if isz > 1 and (active & (isz - 1)).any():
-        raise MemoryFaultError(
-            f"kernel '{X.kernel.name}': misaligned {dt.name} access"
-        )
-    shift = isz.bit_length() - 1
-    idx = (addr >> shift).view(np.int64) if shift else addr.astype(np.int64)
-
-    def _hi():
-        return int(active.max()) if active.size else -isz
-
-    if is_global:
-        if X.validator is not None:
-            X.validator(active, isz, write)
-        elif _hi() + isz > X.gmem.size:
-            raise MemoryFaultError("global access out of device memory")
-        view = X._gview(dt)
-    else:
-        limit = X._shared_bytes
-        if _hi() + isz > limit:
-            raise MemoryFaultError(
-                f"kernel '{X.kernel.name}': shared access beyond "
-                f"{limit} allocated bytes"
-            )
-        view = svs[dt.name]
-        idx += B.block_row * (X._shared_stride // isz)
-    if not full:
-        np.copyto(idx, 0, where=~eff)
-    return view, idx
-
-
-def _rt_atomic(view, idx, eff, src, op: str, want_old: bool,
-               lanes: int, npdt):
-    """``_ExecState._atomic`` minus CAS (CAS bails out of tracing)."""
-    from repro.isa.interpreter import _ExecState
-
-    sel = idx if eff is None else idx[eff]
-    vals = src if eff is None else src[eff]
-    if op == "add":
-        old = _ExecState._prefix_old(view, sel, vals) if want_old else None
-        np.add.at(view, sel, vals)
-    elif op == "min":
-        old = view[sel].copy() if want_old else None
-        np.minimum.at(view, sel, vals)
-    elif op == "max":
-        old = view[sel].copy() if want_old else None
-        np.maximum.at(view, sel, vals)
-    elif op == "exch":
-        old = view[sel].copy() if want_old else None
-        view[sel] = vals
-    else:  # pragma: no cover - compiler bails on anything else
-        raise IRError(f"unknown atomic '{op}'")
-    if not want_old:
-        return None
-    full_old = np.zeros(lanes, dtype=npdt)
-    if eff is None:
-        full_old[:] = old
-    else:
-        full_old[eff] = old
-    return full_old
-
-
-def _rt_barrier(X, B, eff) -> int:
-    """``Barrier`` legality under a partial mask (no-Exit traces only)."""
-    act = eff.reshape(B.n_blocks, B.block_threads)
-    live = np.ones((B.n_blocks, B.block_threads), dtype=bool)
-    arrived = act.any(axis=1)
-    partial = arrived & (act != live).any(axis=1)
-    if partial.any():
-        i = int(np.argmax(partial))
-        raise DivergentBarrierError(
-            f"kernel '{X.kernel.name}': barrier reached by "
-            f"{int(act[i].sum())} of {int(live[i].sum())} live "
-            f"threads in block {B.first_block + i}"
-        )
-    return int(arrived.sum())
 
 
 def _rt_span_ok(X, lo: int, count: int, itemsize: int) -> bool:
     """True iff the contiguous element run is provably legal AND the
     interpreter's generic checks would accept it unchanged.
 
-    Conservative: ``False`` routes the access to the generic path (which
-    replicates the interpreter's checks and exact error messages), never
-    the other way around.  The ``2**63`` cap preserves the interpreter's
-    int64 bounds arithmetic bug-for-bug.
+    Conservative: ``False`` routes the access to the generic path (the
+    interpreter's :func:`~repro.isa.interpreter.resolve`, with its exact
+    error messages), never the other way around.  The ``2**63`` cap
+    keeps the run inside the ``int64`` range
+    :meth:`~repro.gpu.memory.DeviceMemory.validate` computes in.
     """
     if lo < 0 or count <= 0:
         return False
@@ -358,31 +252,17 @@ def _rt_span_ok(X, lo: int, count: int, itemsize: int) -> bool:
     return False
 
 
-def _rt_cdiv(a, b):
-    from repro.isa.interpreter import _c_int_div
-
-    return _c_int_div(np.asarray(a), np.asarray(b))
-
-
-def _rt_crem(a, b):
-    from repro.isa.interpreter import _c_int_rem
-
-    return _c_int_rem(np.asarray(a), np.asarray(b))
-
-
 def _exec_namespace() -> dict:
     return {
         "np": np,
         "DT": dict(dtypes.SCALAR_TYPES),
-        "_resolve": _rt_resolve,
-        "_atomic": _rt_atomic,
-        "_barrier": _rt_barrier,
+        "_resolve": interpreter.resolve,
+        "_atomic": interpreter.apply_atomic,
+        "_barrier": interpreter.check_barrier,
         "_span_ok": _rt_span_ok,
-        "_cdiv": _rt_cdiv,
-        "_crem": _rt_crem,
+        "_cdiv": interpreter.c_int_div,
+        "_crem": interpreter.c_int_rem,
         "IRError": IRError,
-        "MemoryFaultError": MemoryFaultError,
-        "DivergentBarrierError": DivergentBarrierError,
     }
 
 
@@ -504,12 +384,9 @@ _RELEASE_RE = re.compile(r"\b(?:r|_[a-z]+)\d+\b")
 
 
 def _dst_of(ins):
-    if isinstance(ins, (Mov, UnaryOp, BinOp, Cmp, Select, Cvt, Load,
-                        SpecialRead, SharedAlloc)):
-        return ins.dst
-    if isinstance(ins, AtomicOp):
-        return ins.dst
-    return None
+    """The register an instruction assigns, if any."""
+    dst = getattr(ins, "dst", None)
+    return dst if isinstance(dst, Register) else None
 
 
 def _assigned_names(body) -> set:
@@ -552,9 +429,8 @@ class _TraceCompiler:
             "ntid.z": self.block[2], "nctaid.x": self.grid[0],
             "nctaid.y": self.grid[1], "nctaid.z": self.grid[2],
         }
-        self.uses_shared = kernel.uses_shared()
-        self.shared_bytes = max(kernel.shared_bytes, 8)
-        self.shared_stride = -(-self.shared_bytes // 16) * 16
+        self.shared_bytes, self.shared_stride = interpreter.shared_layout(
+            kernel)
         self.lines: list[str] = []
         self.ind = 1
         self.tmp_n = 0
@@ -1408,8 +1284,9 @@ class _TraceCompiler:
                     | _assigned_names(ins.body))
         self._strip(assigned)  # loop-carried values are runtime-only
         t = self._tmp()
+        trips = interpreter._MAX_LOOP_TRIPS
         trips_raise = (f"raise IRError(\"kernel '{self.k.name}': "
-                       f"loop exceeded {_MAX_LOOP_TRIPS} iterations "
+                       f"loop exceeded {trips} iterations "
                        f"(runaway loop?)\")")
         self._line(f"_tr{t} = 0")
         self.depth += 1
@@ -1423,7 +1300,7 @@ class _TraceCompiler:
             def_after_cond = set(self.defined)
             self._emit_body(ins.body, ctx)
             self._line(f"_tr{t} += 1")
-            self._line(f"if _tr{t} > {_MAX_LOOP_TRIPS}:")
+            self._line(f"if _tr{t} > {trips}:")
             self._line(f"    {trips_raise}")
             self.ind -= 1
         else:
@@ -1446,7 +1323,7 @@ class _TraceCompiler:
             def_after_cond = set(self.defined)
             self._emit_body(ins.body, lctx)
             self._line(f"_tr{t} += 1")
-            self._line(f"if _tr{t} > {_MAX_LOOP_TRIPS}:")
+            self._line(f"if _tr{t} > {trips}:")
             self._line(f"    {trips_raise}")
             self.ind -= 1
         self.depth -= 1

@@ -125,6 +125,32 @@ def test_batches_follow_the_interpreter_chunking():
     assert cost.stats.batches == live.batches
 
 
+def test_shared_arena_cap_sets_one_batch_width():
+    """A 64 KiB tile caps a batch at 512 blocks (a 32 MiB arena) where
+    the lane budget alone allows 8192: the interpreter, the cost model
+    and tracesan's canonical width all take it from the one policy."""
+    from repro.analysis.tracesan import canonical_batch_width
+    from repro.isa import IRBuilder, dtypes, interpreter
+
+    b = IRBuilder("big_tile")
+    out = b.param("out", dtypes.F64, pointer=True)
+    tile = b.shared_alloc(dtypes.F64, 8192)
+    tid = b.cvt(b.special("tid.x"), dtypes.I64)
+    b.store_elem(tile, tid, 1.0, dtypes.F64, space="shared")
+    v = b.load_elem(tile, tid, dtypes.F64, space="shared")
+    b.store_elem(out, b.global_id(), v, dtypes.F64)
+    ir = b.build()
+    grid, block = (1025,), (32,)
+    width = interpreter.blocks_per_batch(32, interpreter.shared_layout(ir)[1])
+    assert width == 512 < (1 << 18) // 32
+    assert canonical_batch_width(ir, (32, 1, 1)) == width
+    mem = np.zeros(1025 * 32 * 8, dtype=np.uint8)
+    live = KernelExecutor(ir, 32, mem).launch(grid, block, [0])
+    assert (mem.view(np.float64) == 1.0).all()
+    cost = cost_kernel(ir, grid, block, {})
+    assert live.batches == cost.stats.batches == 3
+
+
 def test_to_dict_round_trips_traffic_keys():
     cost = cost_kernel(KERNEL_LIBRARY["stream_copy"].ir, (4,), (BLOCK,),
                        {"n": 1024})

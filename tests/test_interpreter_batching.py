@@ -4,7 +4,7 @@ Every shared-memory / barrier / shuffle / atomic kernel in the library
 must produce bit-identical memory results and identical work counters
 whether the interpreter runs one block per batch (the historical
 block-isolated path, forced via ``max_blocks_per_batch=1``), a few
-blocks, or as many as ``chunk_lanes`` allows.  Divergent barriers must
+blocks, or as many as the batch policy allows.  Divergent barriers must
 raise under every batch width.
 """
 

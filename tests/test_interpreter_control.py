@@ -9,9 +9,10 @@ from repro.isa import IRBuilder, KernelExecutor, ModuleIR, dtypes
 
 
 def _exec(kernel, n_threads, args, mem_bytes=1 << 16, block=64,
-          warp_size=32, chunk_lanes=1 << 18):
+          warp_size=32, width=None, trace_mode=None):
     mem = np.zeros(mem_bytes, dtype=np.uint8)
-    ex = KernelExecutor(kernel, warp_size, mem, chunk_lanes=chunk_lanes)
+    ex = KernelExecutor(kernel, warp_size, mem, max_blocks_per_batch=width,
+                        trace_mode=trace_mode)
     grid = (n_threads + block - 1) // block
     stats = ex.launch((grid,), (block,), args)
     return mem, stats
@@ -118,7 +119,11 @@ def test_zero_trip_loop():
     assert (mem[:32 * 8].view(np.float64) == 5.0).all()
 
 
-def test_runaway_loop_guard():
+def test_runaway_loop_guard(monkeypatch):
+    """Both tiers stop a runaway loop at the one patched limit: the
+    trace compiler reads it when it compiles, not from a copy."""
+    from repro.isa import interpreter, tracing
+
     b = IRBuilder("k")
     b.param("out", dtypes.F64, pointer=True)
     flag = b.named("flag", dtypes.PRED)
@@ -127,15 +132,20 @@ def test_runaway_loop_guard():
         with loop.cond():
             loop.set_cond(flag)
         b.mov(b.named("x", dtypes.F64), 1.0)
-    from repro.isa import interpreter
-
-    original = interpreter._MAX_LOOP_TRIPS
-    interpreter._MAX_LOOP_TRIPS = 1000
-    try:
-        with pytest.raises(IRError, match="runaway"):
-            _exec(b.build(), 32, [0])
-    finally:
-        interpreter._MAX_LOOP_TRIPS = original
+    kernel = b.build()
+    monkeypatch.setattr(interpreter, "_MAX_LOOP_TRIPS", 1000)
+    for trace_mode in (True, False):
+        tracing.clear_trace_cache()
+        before = interpreter.snapshot_interpreter_totals().trace
+        try:
+            with pytest.raises(IRError, match=r"loop exceeded 1000 "
+                               r"iterations \(runaway loop\?\)"):
+                _exec(kernel, 32, [0], trace_mode=trace_mode)
+        finally:
+            tracing.clear_trace_cache()  # no program keeps the patched limit
+        after = interpreter.snapshot_interpreter_totals().trace
+        assert after.misses - before.misses == int(trace_mode)
+        assert after.bailouts == before.bailouts
 
 
 def test_uniform_condition_scalar_broadcast():
@@ -195,8 +205,8 @@ def test_chunking_boundaries_consistent():
         b.store_elem(out, i, b.mul(i, i), dtypes.I64)
     kernel = b.build()
     results = []
-    for chunk in (64, 257, 1 << 18):
-        mem, _ = _exec(kernel, 1000, [1000, 0], chunk_lanes=chunk,
+    for width in (1, 4, None):
+        mem, _ = _exec(kernel, 1000, [1000, 0], width=width,
                        mem_bytes=1 << 14)
         results.append(mem[:1000 * 8].view(np.int64).copy())
     np.testing.assert_array_equal(results[0], results[1])

@@ -268,6 +268,43 @@ class TestSeededMiscompiles:
         assert not v.validated
         assert "TC01" in codes
 
+    @pytest.mark.parametrize("name,pattern,repl", [
+        # stream_triad's lane-prefix global loads and store
+        ("stream_triad", r"_gv_f64\[(_j\d+):\1 \+ (_k\d+)\]",
+         r"_gv_f64[\1 + 1:\1 + 1 + \2]"),
+        ("stream_triad", r"_gv_f64\[(_j\d+):\1 \+ (_k\d+)\]",
+         r"_gv_f64[\1:\1 + \2 - 1]"),
+        ("stream_triad", r"_gv_f64\[(_j\d+):\1 \+ (_k\d+)\]",
+         r"_gv_i64[\1:\1 + \2]"),
+        ("stream_triad", r"(_a\d+\[_k\d+:\] = _gv_f64)\[0\]", r"\1[1]"),
+        ("stream_triad", r"(_span_ok\(X, _b\d+, _k\d+)", r"\1 - 1"),
+        ("stream_triad", r"(\] = r\d+)\[:(_k\d+)\]", r"\1[1:\2 + 1]"),
+        ("stream_triad", r"(_gv_f64\[[^]]+\] = )r24\[", r"\1r23["),
+        # reduce_sum's per-block shared stores and loads
+        ("reduce_sum", r"\.reshape\(_nB, 256\)\[:, :256\]",
+         ".reshape(_nB, 256)[:, :255]"),
+        ("reduce_sum", r"_s2_f64\[:, (_c\d+):\1 \+ (_k\d+)\]",
+         r"_s2_f64[:, \1 + 1:\1 + 1 + \2]"),
+        ("reduce_sum", r"(_a2\d+\[:, _k\d+:\] = _sv_f64)\[0\]", r"\1[1]"),
+        ("reduce_sum", r"_s2_f64\[:, (_c\d+):\1 \+ (_k\d+)\]",
+         r"_gv_f64[\1:\1 + \2]"),
+        ("reduce_sum", r"(_s2_f64 = _sv_f64\.reshape\(_nB), 256\)",
+         r"\1, 128)"),
+    ], ids=["off-by-one", "short-run", "wrong-dtype", "parked-element",
+            "short-guard", "store-slab", "store-source",
+            "shared-store-slab", "shared-off-by-one", "shared-parked",
+            "shared-as-global", "row-stride"])
+    def test_wrong_contiguous_arm_fires_tc01(self, name, pattern, repl):
+        """The contiguous fast arm is checked as exactly as the uniform
+        one: guard, index, run, view, parked lanes and stored slab."""
+        ir = KERNEL_LIBRARY[name].ir
+        src, bpb = _compile(ir, GRID, BLOCK3)
+        mutated, count = re.subn(pattern, repl, src, count=1)
+        assert count == 1
+        v, codes = _codes(ir, mutated, bpb)
+        assert not v.validated
+        assert "TC01" in codes
+
 
 def test_block_prefix_against_an_immediate_validates():
     """``if tid < 100`` gates a per-block prefix whose bound the program
@@ -319,33 +356,3 @@ def test_fuzz_corpus_shape():
     assert len(BAILING_CASES) == 3
     reasons = {c.bailout_reason for c in BAILING_CASES}
     assert reasons == {"shuffle", "exit", "atomic_cas"}
-
-
-# -- the validate=True hook in tracing.lookup ---------------------------------
-
-
-def test_lookup_validate_caches_verdict(rng):
-    import numpy as np
-
-    from repro.isa import KernelExecutor
-    from repro.isa.tracing import lookup
-
-    ir = KERNEL_LIBRARY["stream_triad"].ir
-    n = 4096
-    mem = np.zeros(n * 8 * 3 + (1 << 16), dtype=np.uint8)
-    ex = KernelExecutor(ir, 32, mem, trace_mode=True)
-    bpb = max(1, ex.chunk_lanes // 256)
-    grid, block = (16, 1, 1), (256, 1, 1)
-
-    plain = lookup(ex, grid, block, bpb)
-    assert plain is not None and plain.verdict is None
-
-    validated = lookup(ex, grid, block, bpb, validate=True)
-    assert validated is plain
-    assert isinstance(validated.verdict, TraceVerdict)
-    assert validated.verdict.validated
-    assert validated.verdict.key == validated.key
-
-    # The verdict is computed once and cached alongside the program.
-    again = lookup(ex, grid, block, bpb, validate=True)
-    assert again.verdict is validated.verdict

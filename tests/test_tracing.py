@@ -14,6 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.analysis.tracesan import canonical_batch_width
 from repro.errors import DivergentBarrierError, MemoryFaultError
 from repro.gpu.memory import DeviceMemory
 from repro.isa import IRBuilder, KernelExecutor, dtypes
@@ -223,7 +224,7 @@ from tests.trace_fuzz import BAILING_CASES, TRACEABLE_CASES
 
 @pytest.mark.parametrize("case", TRACEABLE_CASES, ids=lambda c: c.name)
 def test_fuzz_corpus_tiers_bit_identical_and_statically_agreed(case):
-    from repro.analysis.tracesan import TraceVerdict
+    from repro.analysis.tracesan import validate_program
     from repro.isa.tracing import lookup
 
     image = case.image()
@@ -238,16 +239,16 @@ def test_fuzz_corpus_tiers_bit_identical_and_statically_agreed(case):
     assert delta["bailouts"] == 0
 
     # Static translation validation must agree with the observed
-    # bit-equality: the verdict of the cached program is "validated".
+    # bit-equality: the program the launch cached validates.
     ex = KernelExecutor(case.ir, 32, image.copy(), trace_mode=True)
-    bpb = max(1, ex.chunk_lanes // case.block[0])
     grid3 = (case.grid[0], 1, 1)
     block3 = (case.block[0], 1, 1)
-    program = lookup(ex, grid3, block3, bpb, validate=True)
+    bpb = canonical_batch_width(case.ir, block3)
+    program = lookup(ex, grid3, block3, bpb)
     assert program is not None
-    assert isinstance(program.verdict, TraceVerdict)
-    assert program.verdict.validated, \
-        [d.render() for d in program.verdict.diagnostics]
+    verdict = validate_program(case.ir, program.source, 32, grid3, block3,
+                               bpb, key=program.key)
+    assert verdict.validated, [d.render() for d in verdict.diagnostics]
 
 
 @pytest.mark.parametrize("case", BAILING_CASES, ids=lambda c: c.name)
@@ -278,8 +279,7 @@ def test_bailout_localized_to_bailing_kernel(rng):
     assert delta_w["reasons"].get("shuffle", 0) == 1
 
     # The bailout is cached under the bailing kernel's key only ...
-    ex = KernelExecutor(ir_w, 32, image_w.copy(), trace_mode=True)
-    bpb = max(1, ex.chunk_lanes // BLOCK)
+    bpb = canonical_batch_width(ir_w, (BLOCK, 1, 1))
     assert cached_bailout_reason(
         ir_w, 32, (grid_w[0], 1, 1), (BLOCK, 1, 1), bpb) == "shuffle"
 
@@ -427,7 +427,8 @@ def test_divergent_barrier_raises_in_both_modes(trace):
         ex.launch((4,), (64,), [0])
 
 
-def _fault_text(ir, grid, block, args, image, *, trace, device):
+def _fault_text(ir, grid, block, args, image, *, trace, device,
+                width=None):
     """The MemoryFaultError one launch raises, as text."""
     mem = image.copy()
     validator = None
@@ -438,7 +439,8 @@ def _fault_text(ir, grid, block, args, image, *, trace, device):
         assert int(dm.alloc(image.size)) == 0
         dm.buffer[: image.size] = image
         mem, validator = dm.buffer, dm.validate
-    ex = KernelExecutor(ir, 32, mem, validator=validator, trace_mode=trace)
+    ex = KernelExecutor(ir, 32, mem, validator=validator, trace_mode=trace,
+                        max_blocks_per_batch=width)
     with pytest.raises(MemoryFaultError) as exc:
         ex.launch(grid, block, args)
     return str(exc.value)
@@ -498,6 +500,53 @@ def test_uniform_shared_load_past_its_tile_faults_identically(full):
     np.testing.assert_array_equal(mem_t, mem_i)
     assert _counters(st_t) == _counters(st_i)
     assert delta["traced_launches"] == 1
+
+
+def _neighbour_reader():
+    """Each block stages its thread ids in a tile and reads
+    ``tile[tid - 1]``: thread 0's shared offset wraps to ``2**64 - 8``."""
+    b = IRBuilder("neighbour_reader")
+    out = b.param("out", dtypes.F64, pointer=True)
+    sh = b.shared_alloc(dtypes.F64, BLOCK)
+    tid = b.cvt(b.special("tid.x"), dtypes.I64)
+    b.store_elem(sh, tid, b.cvt(tid, dtypes.F64), dtypes.F64, space="shared")
+    b.barrier()
+    v = b.load_elem(sh, b.sub(tid, 1), dtypes.F64, space="shared")
+    b.store_elem(out, b.global_id(), v, dtypes.F64)
+    return b.build()
+
+
+def _copy_kernel():
+    """``out[i] = x[i]``."""
+    b = IRBuilder("copy")
+    x = b.param("x", dtypes.F64, pointer=True)
+    out = b.param("out", dtypes.F64, pointer=True)
+    i = b.global_id()
+    b.store_elem(out, i, b.load_elem(x, i, dtypes.F64), dtypes.F64)
+    return b.build()
+
+
+@pytest.mark.parametrize("case", ["tile_minus_one", "global_at_2_63",
+                                  "shared_at_2_64_minus_8"])
+def test_addresses_past_2_63_fault_identically(case):
+    """A load at or above ``2**63`` faults with one MemoryFaultError text
+    traced and at batch widths 4 and 1, never a NumPy IndexError."""
+    grid, block = (4,), (BLOCK,)
+    image = np.zeros(4 * BLOCK * 8 + 64, dtype=np.uint8)
+    limit = f"shared access beyond {BLOCK * 8} allocated bytes"
+    if case == "tile_minus_one":
+        ir, args, device = _neighbour_reader(), [0], True
+        want = f"kernel 'neighbour_reader': {limit}"
+    elif case == "global_at_2_63":
+        ir, args, device = _copy_kernel(), [1 << 63, 0], False
+        want = "global access out of device memory"
+    else:
+        ir, args, device = _tile_reader(True), [-1, 0], False
+        want = f"kernel 'tile_reader_full': {limit}"
+    texts = [_fault_text(ir, grid, block, args, image, trace=trace,
+                         device=device, width=width)
+             for trace, width in ((True, None), (False, 4), (False, 1))]
+    assert texts == [want] * 3
 
 
 def _uniform_kernel(where: str):
