@@ -228,8 +228,7 @@ class _CostWalker:
         self._shared_cursor = 0
         self._trips = 0
         self._specials: dict[str, np.ndarray] = {}
-        self._lin: np.ndarray | None = None
-        self._warp: tuple[np.ndarray, np.ndarray] | None = None
+        self._geom: tuple | None = None
         for param in self.kernel.params:
             dt = dtypes.U64 if param.is_pointer else param.dtype
             value = args.get(param.name, UNKNOWN)
@@ -248,17 +247,21 @@ class _CostWalker:
 
     # -- geometry (lazy: only what the kernel actually reads) ---------------
 
-    def _lane_index(self) -> np.ndarray:
-        if self._lin is None:
-            self._lin = np.arange(self.lanes, dtype=np.int64)
-        return self._lin
+    def _geometry(self) -> tuple:
+        """The interpreter's lane tables for the whole launch as one
+        batch: ``(block_linear, block_row, tid, warp_base, warp_len)``."""
+        if self._geom is None:
+            self._geom = interpreter._build_geometry(
+                self.n_blocks, self.block, self.warp_size)
+        return self._geom
 
     def _special(self, which: str) -> np.ndarray:
+        """A special register's value, read as ``_ExecState.special``
+        reads it: ``tid.*`` and ``laneid`` from the geometry tables,
+        ``ctaid.*`` through ``_LazyCtaid``."""
         value = self._specials.get(which)
         if value is not None:
             return value
-        bx, by, _bz = self.block
-        gx, gy, _gz = self.grid
         if which.startswith("ntid."):
             value = np.uint32(self.block["xyz".index(which[-1])])
         elif which.startswith("nctaid."):
@@ -266,25 +269,14 @@ class _CostWalker:
         elif which == "warpsize":
             value = np.uint32(self.warp_size)
         else:
-            block_lin = self._lane_index() % self.block_threads
-            if which == "tid.x":
-                value = (block_lin % bx).astype(np.uint32)
-            elif which == "tid.y":
-                value = ((block_lin // bx) % by).astype(np.uint32)
-            elif which == "tid.z":
-                value = (block_lin // (bx * by)).astype(np.uint32)
-            elif which == "laneid":
+            block_lin, block_row, tid = self._geometry()[:3]
+            if which == "laneid":
                 value = (block_lin % self.warp_size).astype(np.uint32)
+            elif which.startswith("tid."):
+                value = tid["xyz".index(which[-1])]
             else:
-                blk = self._lane_index() // self.block_threads
-                if which == "ctaid.x":
-                    value = (blk % gx).astype(np.uint32)
-                elif which == "ctaid.y":
-                    value = ((blk // gx) % gy).astype(np.uint32)
-                elif which == "ctaid.z":
-                    value = (blk // (gx * gy)).astype(np.uint32)
-                else:  # pragma: no cover - verifier limits the names
-                    raise KeyError(which)
+                value = interpreter._LazyCtaid(0, block_row, self.grid)[
+                    "xyz".index(which[-1])]
         self._specials[which] = value
         return value
 
@@ -537,12 +529,8 @@ class _CostWalker:
             return
         if np.ndim(src) == 0:
             src = np.full(self.lanes, src)
-        if self._warp is None:
-            # The whole launch as one batch of the interpreter's geometry.
-            self._warp = interpreter._build_geometry(
-                self.n_blocks, self.block, self.warp_size)[3:]
         source = interpreter.shuffle_source_lanes(
-            instr.mode, lane, *self._warp, self.warp_size)
+            instr.mode, lane, *self._geometry()[3:], self.warp_size)
         self.assign(instr.dst, src[source], eff, n_active)
 
 

@@ -29,10 +29,16 @@ Three phases, reported as ``TC01``-``TC06`` diagnostics:
    must meter ``_ic`` with the active context multiplicity, every load/
    store/atomic must touch the right space and element size under the
    right mask, every fast-path base address must agree with the
-   independently derived affine, and a uniform-address gate must guard
-   exactly the one element the IR's address register names.  Top-level
-   releases (``a = b = None``) are stripped first, once no later
-   statement is shown to read a released name.  A *provable*
+   independently derived affine, a contiguous gate must carry exactly
+   the no-wraparound conjuncts of every symbolic step of the address
+   chain, a uniform-address gate must guard exactly the one element the
+   IR's address register names, and a merge register at a masked site
+   must keep its first-assignment branch while every other register is
+   a plain rebind.  Releases (``a = b = None``) at the top level and in
+   loop bodies are stripped first, once no later statement of the body
+   is shown to read a released name; a loop may release only per-site
+   temporaries and its own iteration-local registers, which the checker
+   re-derives from the IR.  A *provable*
    disagreement is ``TC01`` (error).  When a summary is only a
    conservative bound (an affine the checker cannot derive, a gate
    shape it cannot classify) the verdict degrades to ``exact=False``
@@ -57,7 +63,8 @@ from __future__ import annotations
 import ast
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from itertools import zip_longest
 
 from repro.analysis.symbolic import Affine
@@ -134,6 +141,8 @@ _FIXED_NAMES = frozenset({
 #: Generated temp-local families (``_b3``, ``_k1``, ``_lv2``, ...).
 _TEMP_PREFIXES = ("t", "sy", "b", "j", "c", "a", "a2", "ad", "vw", "ix",
                   "o", "sf", "k", "m", "n", "lv", "ln", "tr")
+#: The per-site ones: all but a loop's live mask, live count and trips.
+_SITE_TEMPS = _TEMP_PREFIXES[:-3]
 
 #: np.<attr> names a trace program may reference.
 _NP_ATTRS = frozenset({
@@ -369,8 +378,10 @@ class _IRInfo:
 
             uwalk(self.k.body, True)
 
+        self.loop_local = self._loop_locals()
         self.merge = {name for name in self.varying
-                      if counts.get(name, 0) >= 2 and name in nonfull}
+                      if counts.get(name, 0) >= 2 and name in nonfull
+                      and name not in self.loop_local}
 
         def mwalk(body):
             for ins in body:
@@ -389,6 +400,51 @@ class _IRInfo:
 
         mwalk(self.k.body)
 
+    def _loop_locals(self) -> dict[str, int]:
+        """Varying non-parameter registers that are iteration-local:
+        ``name -> id(While)``.  The program-order event list is walked
+        once; a register qualifies when its first event defines it
+        directly in one loop's ``cond_body`` or ``body``, every other
+        def of it sits there too, and every event lies inside that
+        loop."""
+        events: list[tuple[str, bool, int | None, tuple]] = []
+
+        def reads(ins):
+            return [v.name for k, v in vars(ins).items()
+                    if k != "dst" and isinstance(v, Register)]
+
+        def walk(body, loops, home):
+            for ins in body:
+                if isinstance(ins, While):
+                    inner = loops + (id(ins),)
+                    walk(ins.cond_body, inner, id(ins))
+                    events.append((ins.cond.name, False, None, inner))
+                    walk(ins.body, inner, id(ins))
+                    continue
+                for name in reads(ins):
+                    events.append((name, False, None, loops))
+                if isinstance(ins, If):
+                    walk(ins.then_body, loops, None)
+                    walk(ins.else_body, loops, None)
+                    continue
+                d = _dst_of(ins)
+                if d is not None:
+                    events.append((d.name, True, home, loops))
+        walk(self.k.body, (), None)
+
+        loop_of: dict[str, int | None] = {}
+        for name, is_def, home, loops in events:
+            if name not in loop_of:
+                loop_of[name] = home if is_def else None
+            loop = loop_of[name]
+            if loop is not None and (loop not in loops
+                                     or is_def and home != loop):
+                loop_of[name] = None
+        params = {p.name for p in self.k.params}
+        return {name: loop for name, loop in loop_of.items()
+                if loop is not None and name in self.varying
+                and name not in params}
+
 
 @dataclass
 class _APrefix:
@@ -404,7 +460,15 @@ class _APrefix:
 
 @dataclass
 class _AVal:
-    """Abstract value of one IR register at one program point."""
+    """Abstract value of one IR register at one program point.
+
+    With ``aff`` set, ``sym`` names the register the affine's one
+    symbol stands for, ``lo``/``hi`` bound the symbol-free part over
+    every lane, and ``guards`` are the no-wraparound conjuncts each step
+    of the value's chain needs: ``("ge", dmin, sc, lo)`` spells
+    ``dmin <= sc * sym + lo`` and ``("le", dmax, sc, hi)`` spells
+    ``sc * sym + hi <= dmax``.
+    """
 
     dtype: object = None
     uniform: bool = False
@@ -412,6 +476,10 @@ class _AVal:
     aff: Affine | None = None
     prefix: _APrefix | None = None
     src_reg: str | None = None   # provenance for sym minting
+    sym: str | None = None
+    lo: int = 0
+    hi: int = 0
+    guards: tuple = ()
 
 
 def _int_lo_hi(dt) -> tuple[int, int]:
@@ -428,47 +496,80 @@ def _const_in_range(value: int, dt) -> int | None:
     return value if lo <= value <= hi else None
 
 
-def _aff_of(v: _AVal) -> Affine | None:
-    """The affine a value denotes, minting a sym atom when it is a
+def _model(v: _AVal) -> _AVal | None:
+    """The value with its affine model, minting a sym atom when it is a
     uniform integer register whose runtime value we cannot fold."""
     if v.aff is not None:
-        return v.aff
+        return v
     if v.const is not None:
-        return Affine.of_const(v.const)
+        return _AVal(aff=Affine.of_const(v.const), lo=v.const, hi=v.const)
     if (v.uniform and v.dtype is not None and v.dtype.is_integer
             and v.src_reg is not None):
-        return Affine.of_atom(f"sym:{v.src_reg}")
+        return _AVal(aff=Affine.of_atom(f"sym:{v.src_reg}"),
+                     sym=v.src_reg)
     return None
+
+
+def _pure_const(v: _AVal) -> int | None:
+    if v.const is None or v.aff is not None and (
+            v.sym is not None or not v.aff.is_const):
+        return None
+    return v.const
 
 
 def _sym_atoms(aff: Affine) -> list[str]:
     return [a for a in aff.atoms if a.startswith("sym:")]
 
 
-def _binop_aff(op: str, a: _AVal, b: _AVal, dst_dt) -> Affine | None:
-    """Mirror of the compiler's affine propagation: integer add/sub, and
-    mul by a pure constant; at most one sym atom in the result."""
-    if dst_dt is None or not dst_dt.is_integer:
-        return None
-    aa, ba = _aff_of(a), _aff_of(b)
-    if aa is None or ba is None:
-        return None
-    if op == "add":
-        out = aa + ba
-    elif op == "sub":
-        out = aa - ba
-    elif op == "mul":
-        if aa.is_const and not _sym_atoms(aa):
-            out = ba.scale(aa.const)
-        elif ba.is_const and not _sym_atoms(ba):
-            out = aa.scale(ba.const)
-        else:
-            return None
+def _bounded(out: _AVal, m: _AVal, dt) -> None:
+    """Mirror of the compiler's ``_bounded``: give ``out`` the model
+    ``m`` only if the value provably fits ``dt``.  A symbol-free model
+    must fit statically; one with a symbol gets this step's pair of
+    no-wraparound conjuncts, at most 8 in all."""
+    dmin, dmax = _int_lo_hi(dt)
+    guards = tuple(dict.fromkeys(m.guards))
+    if m.sym is None:
+        if m.lo < dmin or m.hi > dmax or guards:
+            return
     else:
-        return None
-    if len(_sym_atoms(out)) > 1:
-        return None
-    return out
+        sc = m.aff.coeff(f"sym:{m.sym}")
+        guards = tuple(dict.fromkeys(
+            guards + (("ge", dmin, sc, m.lo), ("le", dmax, sc, m.hi))))
+        if len(guards) > 8:
+            return
+    out.aff, out.sym, out.lo, out.hi, out.guards = (m.aff, m.sym, m.lo,
+                                                    m.hi, guards)
+
+
+def _binop_model(op: str, a: _AVal, b: _AVal, out: _AVal, dst_dt) -> None:
+    """Mirror of the compiler's affine propagation: integer add/sub of
+    models with at most one symbol between them, and mul by exactly one
+    pure constant, each step bounded to ``dst_dt``."""
+    if dst_dt is None or not dst_dt.is_integer:
+        return
+    if op == "mul":
+        fa, fb = _pure_const(a), _pure_const(b)
+        if (fa is None) == (fb is None):
+            return
+        base, f = (b, fa) if fa is not None else (a, fb)
+        m = _model(base)
+        if m is None:
+            return
+        lo, hi = sorted((m.lo * f, m.hi * f))
+        _bounded(out, _AVal(aff=m.aff.scale(f), sym=m.sym, lo=lo, hi=hi,
+                            guards=m.guards), dst_dt)
+        return
+    if op not in ("add", "sub"):
+        return
+    ma, mb = _model(a), _model(b)
+    if ma is None or mb is None or ma.sym is not None and mb.sym is not None:
+        return
+    if op == "add":
+        aff, lo, hi = ma.aff + mb.aff, ma.lo + mb.lo, ma.hi + mb.hi
+    else:
+        aff, lo, hi = ma.aff - mb.aff, ma.lo - mb.hi, ma.hi - mb.lo
+    _bounded(out, _AVal(aff=aff, sym=ma.sym or mb.sym, lo=lo, hi=hi,
+                        guards=ma.guards + mb.guards), dst_dt)
 
 
 def _binop_const(op: str, a: _AVal, b: _AVal, dst_dt) -> int | None:
@@ -502,7 +603,7 @@ def _cmp_prefix(op: str, a: _AVal, b: _AVal, bt: int) -> _APrefix | None:
     if off is None:
         return None
     aff = av.aff
-    if aff is None or _sym_atoms(aff):
+    if aff is None or av.sym is not None or av.guards:
         return None
     cbl = aff.coeff("t")
     crow = aff.coeff("row")
@@ -554,8 +655,10 @@ class _Stop(Exception):
     """Abort matching after a fatal (error-severity) finding."""
 
 
+@lru_cache(maxsize=4096)
 def _norm(text: str) -> str:
-    """Canonical rendering of an expression for text comparison."""
+    """Canonical rendering of an expression for text comparison (the
+    same few texts recur in every program, so renderings are kept)."""
     try:
         return ast.unparse(ast.parse(text, mode="eval"))
     except SyntaxError:
@@ -594,6 +697,14 @@ def _assigned_local(stmt) -> str | None:
             else f"{_assign_target(stmt)} is None")
     m = re.fullmatch(r"(r\d+) is None", text)
     return m and m.group(1)
+
+
+def _register_targets(stmts) -> list[str]:
+    """The register locals (``rN``) bound anywhere in ``stmts``."""
+    return list(dict.fromkeys(
+        t for st in stmts for n in ast.walk(st)
+        if isinstance(n, ast.Assign) for t in [_assign_target(n)]
+        if t and t.startswith("r") and t[1:].isdigit()))
 
 
 def _is_temp(name: str | None, prefix: str) -> bool:
@@ -743,6 +854,7 @@ class _Checker:
         self.param_local: dict[str, str] = {}
         self.local_map: dict[str, str] = {}   # local -> IR register name
         self.fast_gate_ifs: list[ast.If] = []
+        self.loop_releases: dict[int, set[str]] = {}
         self.shared_cursor = 0
         self.lines = source.split("\n")
 
@@ -772,14 +884,14 @@ class _Checker:
         if isinstance(op, Imm):
             c = _const_in_range(int(op.value), op.dtype) \
                 if op.dtype.is_integer else None
-            return _AVal(op.dtype, True, c,
-                         Affine.of_const(c) if c is not None else None)
+            if c is None:
+                return _AVal(op.dtype, True)
+            return _AVal(op.dtype, True, c, Affine.of_const(c), lo=c, hi=c)
         v = self.env.get(op.name)
         if v is None:
             v = _AVal(self.info.regdt.get(op.name),
                       op.name not in self.info.varying)
-        return _AVal(v.dtype, v.uniform, v.const, v.aff, v.prefix,
-                     src_reg=op.name)
+        return replace(v, src_reg=op.name)
 
     def _strip(self, names) -> None:
         for n in names:
@@ -813,7 +925,7 @@ class _Checker:
         if isinstance(ins, Mov):
             s = self._read_op(ins.src)
             vdt = s.dtype
-            out.const, out.aff, out.prefix = s.const, s.aff, s.prefix
+            out = replace(s, dtype=dt, uniform=out.uniform, src_reg=None)
         elif isinstance(ins, BinOp):
             a, b = self._read_op(ins.a), self._read_op(ins.b)
             if (a.dtype is not None and b.dtype is not None
@@ -822,7 +934,7 @@ class _Checker:
             if ins.op == "div" and (vdt is None or not vdt.is_float):
                 vdt = None if not dt.is_float else vdt
             out.const = _binop_const(ins.op, a, b, dt)
-            out.aff = _binop_aff(ins.op, a, b, dt)
+            _binop_model(ins.op, a, b, out, dt)
         elif isinstance(ins, Cmp):
             a, b = self._read_op(ins.a), self._read_op(ins.b)
             vdt = dtypes.PRED
@@ -832,36 +944,37 @@ class _Checker:
             vdt = dt
             if (dt.is_integer and s.dtype is not None
                     and s.dtype.is_integer):
-                out.aff = s.aff
+                if s.aff is not None:
+                    _bounded(out, s, dt)
                 if s.const is not None:
                     out.const = _const_in_range(s.const, dt)
         elif isinstance(ins, SpecialRead):
             w = ins.which
             vdt = dt
-            if w in self.info.dims:
-                out.const = self.info.dims[w]
+            if w in self.info.dims or w == "warpsize":
+                out.const = self.info.dims.get(w, self.info.warp)
                 out.aff = Affine.of_const(out.const)
-            elif w == "warpsize":
-                out.const = self.info.warp
-                out.aff = Affine.of_const(out.const)
+                out.lo = out.hi = out.const
             elif (w == "tid.x" and self.info.block[1] == 1
                     and self.info.block[2] == 1):
-                out.aff = Affine.of_atom("t")
+                out.aff, out.hi = Affine.of_atom("t"), self.info.bt - 1
             elif (w == "ctaid.x" and self.info.grid[1] == 1
                     and self.info.grid[2] == 1
                     and self.info.total_blocks - 1 <= 0xFFFFFFFF):
                 out.aff = Affine.make(0, {"fb": 1, "row": 1})
+                out.hi = self.info.total_blocks - 1
         elif isinstance(ins, SharedAlloc):
             align = ins.dtype.itemsize
             self.shared_cursor = -(-self.shared_cursor // align) * align
-            out.const = self.shared_cursor
+            out.const = out.lo = out.hi = self.shared_cursor
             out.aff = Affine.of_const(out.const)
             self.shared_cursor += align * ins.count
             vdt = dt
         # mirror _assign's fresh-cast degradation
         fresh = vdt is None or vdt.np_dtype != dt.np_dtype
         if fresh:
-            out.aff = out.prefix = None
+            out.aff = out.prefix = out.sym = None
+            out.guards = ()
             if vdt is not None:
                 out.const = None
             elif out.const is not None:
@@ -1075,13 +1188,50 @@ class _Checker:
                 # addresses, prefix-gate bounds) resolve non-parameter
                 # registers too.  Value payloads never contain deferral
                 # splices, so every r-local target here belongs to `dst`.
-                for s in payload:
-                    for node in ast.walk(s):
-                        if isinstance(node, ast.Assign):
-                            t = _assign_target(node)
-                            if t and t.startswith("r") and t[1:].isdigit():
-                                self.local_map[t] = dst.name
+                for loc in _register_targets(payload):
+                    self.local_map[loc] = dst.name
+                    self._check_assign_form(dst.name, loc, payload, ctx,
+                                            path)
         self._astep(ins)
+
+    def _check_assign_form(self, reg: str, loc: str, stmts, ctx: _MCtx,
+                           path: str) -> None:
+        """A merge register at a masked site is bound whole only under
+        ``if loc is None:`` and merged in the ``else`` arm, from the value
+        the first arm binds (a masked copy reads the source directly);
+        every other register is a plain rebind."""
+        merge = reg in self.info.merge and not ctx.full
+        test = f"{loc} is None"
+        text = "\n".join(self.lines[stmts[0].lineno - 1:stmts[-1].end_lineno])
+        if not merge and test not in text:
+            return
+        firsts = [n for st in stmts for n in ast.walk(st)
+                  if isinstance(n, ast.If) and _unparse(n.test) == test]
+        if not merge:
+            if firsts:
+                self._tc01(path, f"`{reg}` needs no merge slot, but its "
+                           f"site tests `{test}`")
+            return
+        inside = {id(n) for f in firsts for st in f.body
+                  for n in ast.walk(st)}
+        plain = any(isinstance(n, ast.Assign) and _assign_target(n) == loc
+                    and id(n) not in inside
+                    for st in stmts for n in ast.walk(st))
+        if plain or not firsts or not all(f.orelse for f in firsts):
+            self._tc01(path, f"merge register `{reg}` is rebound whole at a "
+                       "masked site; the interpreter keeps its inactive "
+                       "lanes")
+        for f in firsts:
+            whole = _unparse(f.body[-1].value) if isinstance(
+                f.body[-1], ast.Assign) else None
+            for call in (c for st in f.orelse
+                         for c in _find_calls(st, "np.copyto")):
+                src = _unparse(call.args[1]) if len(call.args) == 2 else ""
+                if (_unparse(call.args[0]) != loc or whole not in (
+                        src, _norm(f"({src}).copy()"))):
+                    self._tc01(path, f"merge of `{reg}` copies `{src}` into "
+                               f"`{_unparse(call.args[0])}`, its first "
+                               f"assignment binds `{whole}`")
 
     def _check_merge_masks(self, stmts, ctx: _MCtx, path: str) -> None:
         """Every masked merge (``np.copyto(..., where=m)``) uses the
@@ -1162,6 +1312,7 @@ class _Checker:
                                   else gate.orelse[-1])
             if loc is not None:
                 self.local_map[loc] = d.name
+                self._check_assign_form(d.name, loc, body, ctx, path)
             self.env[d.name] = _AVal(d.dtype,
                                      d.name not in self.info.varying)
 
@@ -1183,7 +1334,7 @@ class _Checker:
             self._tc01(path, f"contiguous fast path on a {ins.space} access "
                        "under a mask that is no prefix of its kind")
         idx = self._check_guard(ins, _assign_target(fast_assign), gate, isz,
-                                k, path, after_guards=True)
+                                k, path, base=fast_assign.value)
         run = (f"_gv_{dtn}[{idx}:{idx} + {k}]" if is_global
                else f"_s2_{dtn}[:, {idx}:{idx} + {k}]")
         arm = gate.body[1:]
@@ -1399,12 +1550,12 @@ class _Checker:
         return self._check_guard(ins, b, gate, isz, "1", path)
 
     def _check_guard(self, ins, b: str, gate, isz: int, k: str, path: str,
-                     after_guards: bool = False) -> str:
+                     base=None) -> str:
         """Prove a fast gate's guard admits exactly ``k`` aligned, legal
-        elements of the access's space from base ``b`` (after the base
-        affine's no-wraparound guards, with ``after_guards``), and that
-        its arm opens by indexing ``b // isz``.  Returns the index
-        temp's name."""
+        elements of the access's space from base ``b``, and that its arm
+        opens by indexing ``b // isz``.  A contiguous gate (``base``, its
+        base expression) first carries the address chain's
+        no-wraparound conjuncts.  Returns the index temp's name."""
         if ins.space == MemSpace.GLOBAL:
             want = [f"{b} % {isz} == 0", f"_span_ok(X, {b}, {k}, {isz})"]
         else:
@@ -1414,15 +1565,42 @@ class _Checker:
         got = [_unparse(v) for v in (
             test.values if isinstance(test, ast.BoolOp)
             and isinstance(test.op, ast.And) else [test])]
-        if (got[-len(want):] if after_guards else got) != want:
+        head = got[:-len(want)] if base is not None else []
+        if got[len(head):] != want:
             self._tc01(path, f"fast-path guard `{_unparse(test)}` does not "
-                       f"{'end' if after_guards else 'read'} "
+                       f"{'read' if base is None else 'end'} "
                        f"`{' and '.join(want)}`"
                        "; the unchecked access could fault or alias")
+        if base is not None:
+            self._check_wrap_guards(ins, base, head, path)
         idx = ("_j" if ins.space == MemSpace.GLOBAL else "_c") + b[2:]
         if not gate.body or _unparse(gate.body[0]) != f"{idx} = {b} // {isz}":
             self._tc01(path, "fast path does not index its guarded base")
         return idx
+
+    def _check_wrap_guards(self, ins, base, head: list[str],
+                           path: str) -> None:
+        """The guard's leading conjuncts are exactly the pairs the
+        derived address chain needs: ``dmin <= sc * sym + lo`` and
+        ``sc * sym + hi <= dmax`` for every symbolic step, so no lane's
+        address wraps in any step's dtype."""
+        m = self._read_op(ins.addr)
+        sym = next((n.id for n in ast.walk(base) if isinstance(n, ast.Name)
+                    and _is_temp(n.id, "sy")), None)
+        if m.aff is None or m.guards and sym is None:
+            return  # _check_base reports the underived structure (TC04)
+        want = [_norm(f"({g[1]} <= {g[2]} * {sym} + {g[3]})" if g[0] == "ge"
+                      else f"({g[2]} * {sym} + {g[3]} <= {g[1]})")
+                for g in m.guards]
+        missing = [w for w in want if w not in head]
+        extra = [h for h in head if h not in want]
+        if missing or extra:
+            self._tc01(path, f"fast-path guard "
+                       f"{'omits' if missing else 'adds'} "
+                       f"`{(missing or extra)[0]}`: each symbolic step of "
+                       "the address chain needs exactly its no-wraparound "
+                       "pair, or a wrapped lane address escapes the "
+                       "checked run")
 
     def _check_uniform_load(self, ins, idx: str, arm, ctx: _MCtx,
                             path: str) -> None:
@@ -1535,6 +1713,9 @@ class _Checker:
                        "the _atomic runtime call")
         d = _dst_of(ins)
         if d is not None:
+            for loc in _register_targets(payload):
+                self.local_map[loc] = d.name
+                self._check_assign_form(d.name, loc, payload, ctx, path)
             self.env[d.name] = _AVal(d.dtype,
                                      d.name not in self.info.varying)
 
@@ -1832,6 +2013,7 @@ class _Checker:
                              path + ".cond")
             self._match_body(ins.body, inner[body_start:], child,
                              path + ".body")
+        self._check_loop_releases(ins, wnode, path)
         self._strip(assigned)
 
     # -- Phase 3: deferral re-proof (TC03) ---------------------------------
@@ -1923,13 +2105,13 @@ class _Checker:
 
     # -- entry -------------------------------------------------------------
 
-    def run(self) -> tuple[bool, list[Diagnostic]]:
-        """Match the whole program; returns (exact, diagnostics)."""
-        tree = ast.parse(self.source)
+    def run(self, tree: ast.Module) -> tuple[bool, list[Diagnostic]]:
+        """Match the whole program, parsed as ``tree`` (whose loop
+        bodies lose their releases); returns (exact, diagnostics)."""
         stmts = tree.body[0].body
         try:
             i = self._match_prelude(stmts)
-            stmts = stmts[:i] + self._strip_releases(stmts[i:])
+            stmts = stmts[:i] + self._strip_releases(stmts[i:])[0]
             if len(stmts) < i + len(self._EPILOGUE):
                 self._tc01("epilogue", "program ends before the stats "
                            "epilogue")
@@ -1945,24 +2127,60 @@ class _Checker:
         self._check_deferrals(stmts)
         return self.exact, self.diags
 
-    def _strip_releases(self, stmts) -> list:
-        """Drop the top-level ``a = b = None`` releases, proving that no
-        later statement reads a released name (the compiler releases a
-        local after its last mention, so it never rebinds one)."""
+    def _strip_releases(self, stmts, loop=None) -> tuple[list, set[str]]:
+        """Drop the ``a = b = None`` releases of one body, the top level
+        or (``loop``) a loop's, recursing into nested bodies; returns
+        the kept statements and every name released in them.
+
+        A released name is never read by a later statement of its body
+        (the compiler releases a local after its last mention, so it
+        never rebinds one), nor after a loop that released it.  Which
+        names a loop may release is proved when the loop is matched
+        (:meth:`_check_loop_releases`); a release in a branch arm is
+        never emitted and fails here."""
         kept = []
         released: set[str] = set()
         for s in stmts:
             if _is_release(s):
-                released.update(t.id for t in s.targets)
+                if loop is False:
+                    self._tc01(f"line {s.lineno}", "locals released inside "
+                               "a branch arm")
+                names = {t.id for t in s.targets}
+                released |= names
+                if loop is not None:
+                    self.loop_releases.setdefault(id(loop), set()).update(
+                        names)
                 continue
-            if not released.isdisjoint(self._tokens(s)):
+            if released and not released.isdisjoint(self._tokens(s)):
                 for node in ast.walk(s):
                     if (isinstance(node, ast.Name) and node.id in released
                             and isinstance(node.ctx, ast.Load)):
                         self._tc01(f"line {node.lineno}",
                                    f"`{node.id}` is read after its release")
+            if isinstance(s, ast.While):
+                s.body, inner = self._strip_releases(s.body, s)
+                released |= inner
+            elif isinstance(s, ast.If):
+                s.body, inner = self._strip_releases(s.body, False)
+                s.orelse, other = self._strip_releases(s.orelse, False)
+                released |= inner | other
             kept.append(s)
-        return kept
+        return kept, released
+
+    def _check_loop_releases(self, ins, wnode, path: str) -> None:
+        """Every name a loop body releases is rebound by each trip before
+        anything reads it: a per-site temporary, or the local of a
+        register iteration-local to this loop (never its live mask,
+        live count or trip count, nor a loop-carried register)."""
+        for name in sorted(self.loop_releases.get(id(wnode), ())):
+            if any(_is_temp(name, p) for p in _SITE_TEMPS):
+                continue
+            reg = self.local_map.get(name)
+            if reg is None or self.info.loop_local.get(reg) != id(ins):
+                self._tc01(path, f"`{name}` is released inside the loop but "
+                           "is neither a per-site temporary nor an "
+                           "iteration-local register of it; a later trip "
+                           "reads it before rebinding it")
 
 
 # ---------------------------------------------------------------------------
@@ -1997,7 +2215,7 @@ def validate_program(kernel, source: str, warp_size: int,
         if not diags:
             checker = _Checker(kernel, source, warp_size, grid, block)
             try:
-                exact, found = checker.run()
+                exact, found = checker.run(tree)
             except _Stop:  # pragma: no cover - run() already catches
                 exact, found = checker.exact, checker.diags
             diags.extend(found)

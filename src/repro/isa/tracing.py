@@ -41,7 +41,11 @@ A batch's locals are lane-wide arrays (65,536 lanes is 512 KiB per
 ``f64`` register).  After each top-level statement the generated
 function rebinds to ``None`` every local no later statement mentions, so
 a launch's peak holds only the arrays still live rather than every
-temporary the program ever made.
+temporary the program ever made.  Loop bodies do the same for the names
+each trip binds before it reads them: per-site temporaries and
+*iteration-local* registers (see :func:`_iteration_locals`), which are
+plain locals rather than merge registers.  A masked ``Mov`` into a merge
+register merges straight from its source register.
 
 Bailout taxonomy
 ----------------
@@ -65,7 +69,7 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -382,6 +386,42 @@ _LOCAL_RE = re.compile(r"\br(\d+)\b")
 #: ``_a212``): the generated locals that can hold lane arrays.
 _RELEASE_RE = re.compile(r"\b(?:r|_[a-z]+)\d+\b")
 
+#: A loop's own state (live mask, live count, trip count), never
+#: released inside the loop, and its trip-count bump.
+_LOOP_STATE_RE = re.compile(r"_(?:lv|ln|tr)\d+")
+_TRIP_BUMP_RE = re.compile(r"\s*(_tr\d+) \+= 1")
+
+
+def _statements(lines, start: int, end: int, indent: int) -> list:
+    """``(first, past-last)`` line of each statement that starts at
+    ``indent`` spaces in ``lines[start:end]``; ``else:`` continues its
+    ``if``."""
+    starts = [i for i in range(start, end) if lines[i][indent] != " "
+              and not lines[i].startswith("else:", indent)]
+    return list(zip(starts, starts[1:] + [end]))
+
+
+def _last_mentions(lines, spans) -> list[set[str]]:
+    """Per statement, the locals it mentions and no later one does."""
+    later: set[str] = set()
+    out = []
+    for s, e in reversed(spans):
+        names = set(_RELEASE_RE.findall("\n".join(lines[s:e])))
+        out.append(names - later)
+        later |= names
+    return out[::-1]
+
+
+def _with_releases(lines, spans, free, indent: int) -> list[str]:
+    """``lines`` with one ``a = b = None`` line after each statement
+    whose ``free`` names are non-empty, at ``indent`` spaces."""
+    out = lines[:spans[0][0]]
+    for (s, e), names in zip(spans, free):
+        out.extend(lines[s:e])
+        if names:
+            out.append(" " * indent + " = ".join(sorted(names)) + " = None")
+    return out + lines[spans[-1][1]:]
+
 
 def _dst_of(ins):
     """The register an instruction assigns, if any."""
@@ -402,6 +442,56 @@ def _assigned_names(body) -> set:
             out |= _assigned_names(ins.cond_body)
             out |= _assigned_names(ins.body)
     return out
+
+
+def _iteration_locals(body) -> dict[str, While]:
+    """Registers each loop trip writes before it reads: ``name -> loop``.
+
+    A register qualifies when every mention of it lies inside one
+    ``While`` and its first mention in program order, like every other
+    def of it, is placed directly in that loop's ``cond_body`` or
+    ``body`` (not in a nested ``If`` or ``While``).  Each trip then
+    rewrites it on all of the trip's lanes before anything reads it, and
+    nothing after the loop reads it, so its inactive lanes are never
+    observed and it needs no merge slot.
+    """
+    first: dict[str, While | None] = {}
+    within: dict[str, set[int]] = {}
+    direct: dict[str, set] = {}
+
+    def mention(name, loops, home=None, is_def=False):
+        first.setdefault(name, home)
+        ids = {id(w) for w in loops}
+        within[name] = within[name] & ids if name in within else ids
+        if is_def:
+            direct.setdefault(name, set()).add(
+                None if home is None else id(home))
+
+    def walk(block, loops, home):
+        for ins in block:
+            if isinstance(ins, If):
+                if isinstance(ins.cond, Register):
+                    mention(ins.cond.name, loops)
+                walk(ins.then_body, loops, None)
+                walk(ins.else_body, loops, None)
+            elif isinstance(ins, While):
+                inner = loops + (ins,)
+                walk(ins.cond_body, inner, ins)
+                mention(ins.cond.name, inner)
+                walk(ins.body, inner, ins)
+            else:
+                for f in fields(ins):
+                    op = getattr(ins, f.name)
+                    if f.name != "dst" and isinstance(op, Register):
+                        mention(op.name, loops)
+                d = _dst_of(ins)
+                if d is not None:
+                    mention(d.name, loops, home, is_def=True)
+
+    walk(body, (), None)
+    return {name: loop for name, loop in first.items()
+            if loop is not None and id(loop) in within[name]
+            and direct[name] == {id(loop)}}
 
 
 class _TraceCompiler:
@@ -440,6 +530,8 @@ class _TraceCompiler:
         self.defined: set[str] = set()
         self.varying: set[str] = set()
         self.merge: set[str] = set()
+        self.loop_local: dict[str, While] = {}
+        self.loop_frees: dict[str, set[str]] = {}
         self.counts: dict[str, int] = {}
         self.regdt: dict[str, dtypes.DType] = {}
         self.locals_: dict[str, str] = {}
@@ -585,8 +677,13 @@ class _TraceCompiler:
 
             uwalk(self.k.body, True)
 
+        params = {p.name for p in self.k.params}
+        self.loop_local = {
+            name: loop for name, loop in _iteration_locals(self.k.body).items()
+            if name in self.varying and name not in params}
         self.merge = {name for name in self.varying
-                      if counts.get(name, 0) >= 2 and name in nonfull}
+                      if counts.get(name, 0) >= 2 and name in nonfull
+                      and name not in self.loop_local}
 
         def mwalk(body):
             for ins in body:
@@ -622,6 +719,7 @@ class _TraceCompiler:
         self.collecting = False
         self._reset_emission()
         self._emit_all()
+        self._release_in_loops()
         self._release_dead()
         return "\n".join(self.lines) + "\n"
 
@@ -646,6 +744,7 @@ class _TraceCompiler:
         self.defined = set()
         self.deferred = {}
         self.defer_order = {}
+        self.loop_frees = {}
 
     def _compute_deferral(self) -> None:
         """Decide which pure single-site values to emit lazily.
@@ -743,31 +842,47 @@ class _TraceCompiler:
         the epilogue follows and the return frees the rest.
         """
         lines = self.lines
-        starts = [i for i, text in enumerate(lines)
-                  if text[4] != " " and not text.startswith("    else:")]
-        starts = starts[1:]  # line 0 is the `def`
-        spans = list(zip(starts, starts[1:] + [len(lines)]))
+        spans = _statements(lines, 1, len(lines), 4)  # line 0 is the `def`
         first = next((k for k, (s, _) in enumerate(spans)
                       if lines[s].startswith("    _ic += ")), None)
         if first is None:
             return
         last_body = len(spans) - 7  # the six stats lines close the program
-        # Backwards: what statement k names and nothing after it does
-        # dies at k.
-        later: set[str] = set()
-        dead: dict[int, set[str]] = {}
-        for k in range(len(spans) - 1, first - 1, -1):
-            s, e = spans[k]
-            names = set(_RELEASE_RE.findall("\n".join(lines[s:e])))
-            if k < last_body and names - later:
-                dead[k] = names - later
-            later |= names
-        out = lines[:starts[0]]
-        for k, (s, e) in enumerate(spans):
-            out.extend(lines[s:e])
-            if k in dead:
-                out.append("    " + " = ".join(sorted(dead[k])) + " = None")
-        self.lines = out
+        free = [names if first <= k < last_body else ()
+                for k, names in enumerate(_last_mentions(lines, spans))]
+        self.lines = _with_releases(lines, spans, free, 4)
+
+    def _release_in_loops(self) -> None:
+        """After each statement of a loop body, rebind to ``None`` every
+        per-site temporary and iteration-local register of that loop
+        that no later statement of the body mentions and nothing outside
+        the loop mentions.
+
+        Each such name is bound afresh by every trip before anything
+        reads it, so a trip holds only the arrays it still needs.  Loop
+        state (``_lv``/``_ln``/``_tr``) and loop-carried registers are
+        never released here; inner loops are done first.
+        """
+        lines = self.lines
+        heads = [i for i, text in enumerate(lines)
+                 if text.endswith("while True:")]
+        for head in reversed(heads):
+            indent = len(lines[head]) - len("while True:") + 4
+            end = head + 1
+            while end < len(lines) and lines[end].startswith(" " * indent):
+                end += 1
+            spans = _statements(lines, head + 1, end, indent)
+            trips = next(m.group(1) for m in (_TRIP_BUMP_RE.fullmatch(
+                lines[s]) for s, _ in spans) if m)
+            own = {self.locals_.get(name) for name in self.loop_frees[trips]}
+            outside = set(_RELEASE_RE.findall(
+                "\n".join(lines[:head] + lines[end:])))
+            free = [{n for n in names - outside
+                     if n in own or n[0] == "_"
+                     and not _LOOP_STATE_RE.fullmatch(n)}
+                    for names in _last_mentions(lines, spans)]
+            lines = _with_releases(lines, spans, free, indent)
+        self.lines = lines
 
     def _inject_deferred(self, start: int) -> None:
         """Prepend the deferred lines an else branch needs (pass 2)."""
@@ -880,8 +995,10 @@ class _TraceCompiler:
 
     def _assign(self, dst: Register, val: _Val, ctx: _Ctx,
                 copy: bool = False, aff=None, prefix=None,
-                slab: str | None = None, pure: bool = False) -> None:
-        """Emit ``_ExecState.assign`` for one computed value."""
+                slab: str | None = None, pure: bool = False,
+                mov: bool = False) -> None:
+        """Emit ``_ExecState.assign`` for one computed value (``mov``: a
+        register's own value, which a masked merge copies from directly)."""
         name, dt = dst.name, dst.dtype
         loc = self._local(name)
         if self.collecting:
@@ -913,11 +1030,15 @@ class _TraceCompiler:
             self._varying_store(name, loc, f"np.full(_L, {expr})", ctx,
                                 fresh=True, slab=expr)
         else:
+            # A moved register merges straight from its source: the copy
+            # is only needed when it becomes the whole array.
+            direct = None
             if copy and not fresh:
+                direct = expr if mov else None
                 expr = f"({expr}).copy()"
                 fresh = True
             self._varying_store(name, loc, expr, ctx, fresh=fresh,
-                                slab=slab)
+                                slab=slab, direct=direct)
         if self.collecting and pure and name in self.varying:
             self.cand_line[name] = len(self.line_log) - 1
             self.cand_span[name] = (self._cand_start,
@@ -929,7 +1050,8 @@ class _TraceCompiler:
         self.defined.add(name)
 
     def _varying_store(self, name: str, loc: str, expr: str, ctx: _Ctx,
-                       fresh: bool, slab: str | None = None) -> None:
+                       fresh: bool, slab: str | None = None,
+                       direct: str | None = None) -> None:
         if name in self.defer_regs:
             # Deferred: replayed as a plain full-width rebuild inside
             # the else branches that consume it (for merge registers
@@ -952,6 +1074,12 @@ class _TraceCompiler:
             self._line(f"    {loc} = {expr}")
             self._line("else:")
             self._line(f"    {tgt} = {slab}")
+            return
+        if direct is not None:
+            self._line(f"if {loc} is None:")
+            self._line(f"    {loc} = {expr}")
+            self._line("else:")
+            self._line(f"    np.copyto({loc}, {direct}, where={ctx.arr})")
             return
         t = self._tmp()
         self._line(f"_t{t} = {expr}")
@@ -979,7 +1107,7 @@ class _TraceCompiler:
             self._assign(ins.dst, src, ctx,
                          copy=isinstance(ins.src, Register),
                          aff=src.aff, prefix=src.prefix, slab=slab,
-                         pure=True)
+                         pure=True, mov=True)
         elif isinstance(ins, BinOp):
             self._emit_binop(ins, ctx)
         elif isinstance(ins, UnaryOp):
@@ -1289,6 +1417,9 @@ class _TraceCompiler:
                        f"loop exceeded {trips} iterations "
                        f"(runaway loop?)\")")
         self._line(f"_tr{t} = 0")
+        self.loop_frees[f"_tr{t}"] = {
+            name for name, loop in self.loop_local.items()
+            if loop is ins and name not in self.defer_regs}
         self.depth += 1
         if self._op_uniform(ins.cond):
             self._line("while True:")

@@ -306,6 +306,147 @@ class TestSeededMiscompiles:
         assert "TC01" in codes
 
 
+# -- grid-stride loops: in-loop releases and merge forms ----------------------
+
+
+def _dot_loop():
+    """stream_dot's program lines and the span of its grid-stride
+    loop's body (the first ``while True:``)."""
+    ir, src, bpb = _dot_source()
+    lines = src.split("\n")
+    head = lines.index("    while True:")
+    end = next(i for i in range(head + 1, len(lines))
+               if not lines[i].startswith("        "))
+    return ir, bpb, lines, head, end
+
+
+def _loop_insert(lines, end, text, before_trips=True):
+    """Insert a loop-body statement before the trip bump, or last."""
+    at = (next(i for i in range(end - 1, 0, -1)
+               if re.fullmatch(r"        _tr\d+ \+= 1", lines[i]))
+          if before_trips else end)
+    return lines[:at] + ["        " + text] + lines[at:]
+
+
+def _acc_and_i(lines, head, end):
+    """The locals of stream_dot's loop-carried ``acc`` and ``i``: the
+    registers the loop merges straight from a source register."""
+    return [re.search(r"np\.copyto\((r\d+), ", lines[i]).group(1)
+            for i in range(head, end) if "np.copyto(" in lines[i]]
+
+
+class TestLoopReleases:
+    def test_clean_loop_releases_validate(self):
+        """The grid-stride loop releases its iteration-local registers
+        and per-site temporaries inside the body and merges acc and i
+        straight from their sources."""
+        ir, bpb, lines, head, end = _dot_loop()
+        body = lines[head + 1:end]
+        assert any(re.fullmatch(r"        (\w+ = )+None", l) for l in body)
+        assert not any(re.match(r"        _t\d+ = ", l) for l in body)
+        assert len(_acc_and_i(lines, head, end)) == 2
+        v, codes = _codes(ir, "\n".join(lines), bpb)
+        assert v.validated and v.exact and not codes
+
+    def test_release_above_a_later_read_fires_tc01(self):
+        ir, bpb, lines, head, end = _dot_loop()
+        rel = next(i for i in range(head, end)
+                   if re.fullmatch(r"        (\w+ = )+None", lines[i]))
+        lines.insert(rel - 1, lines.pop(rel))
+        v, codes = _codes(ir, "\n".join(lines), bpb)
+        assert "TC01" in codes and not v.validated
+        assert any("read after its release" in d.message
+                   for d in v.diagnostics)
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["acc", "i"])
+    def test_loop_carried_release_fires_tc01(self, which):
+        """Releasing acc or i at the end of the body leaves the next
+        trip reading a dead local."""
+        ir, bpb, lines, head, end = _dot_loop()
+        loc = _acc_and_i(lines, head, end)[which]
+        mutated = _loop_insert(lines, end, f"{loc} = None")
+        v, codes = _codes(ir, "\n".join(mutated), bpb)
+        assert "TC01" in codes and not v.validated
+        if which == 1:  # nothing after the loop reads i: the rule fires
+            assert any("iteration-local" in d.message
+                       for d in v.diagnostics)
+
+    @pytest.mark.parametrize("state", ["_lv", "_tr"])
+    def test_loop_state_release_fires_tc01(self, state):
+        ir, bpb, lines, head, end = _dot_loop()
+        name = re.search(rf"\b{state}\d+\b",
+                         "\n".join(lines[head - 3:head])).group()
+        mutated = _loop_insert(lines, end, f"{name} = None",
+                               before_trips=state == "_lv")
+        v, codes = _codes(ir, "\n".join(mutated), bpb)
+        assert "TC01" in codes and not v.validated
+        assert any("iteration-local" in d.message for d in v.diagnostics)
+
+    def test_merge_register_as_plain_local_fires_tc01(self):
+        """acc rebound whole at the loop's masked site loses the lanes
+        that already left the loop."""
+        ir, bpb, lines, head, end = _dot_loop()
+        src = "\n".join(lines)
+        mutated, count = re.subn(
+            r"( +)if (r\d+) is None:\n\1    \2 = (\(r\d+\)\.copy\(\))\n"
+            r"\1else:\n\1    np\.copyto\(\2, r\d+, where=_lv\d+\)",
+            r"\1\2 = \3", src, count=1)
+        assert count == 1
+        v, codes = _codes(ir, mutated, bpb)
+        assert "TC01" in codes and not v.validated
+        assert any("rebound whole" in d.message for d in v.diagnostics)
+
+    def test_merge_from_another_source_fires_tc01(self):
+        """The masked merge of acc must copy the register its first
+        assignment copies; merging acc into itself drops the update."""
+        ir, bpb, lines, head, end = _dot_loop()
+        src = "\n".join(lines)
+        mutated, count = re.subn(
+            r"(np\.copyto\((r\d+), )r\d+(, where=_lv)", r"\1\2\3", src,
+            count=1)
+        assert count == 1
+        v, codes = _codes(ir, mutated, bpb)
+        assert "TC01" in codes and not v.validated
+        assert any("its first assignment binds" in d.message
+                   for d in v.diagnostics)
+
+
+# -- no-wraparound guards of contiguous fast paths ----------------------------
+
+
+def test_triad_gate_without_its_wraparound_pair_fires_tc01():
+    """stream_triad at grid 256 x block 256: the first load's gate
+    without its base's no-wraparound pair no longer validates."""
+    ir = KERNEL_LIBRARY["stream_triad"].ir
+    grid = (256, 1, 1)
+    bpb = canonical_batch_width(ir, BLOCK3)
+    src = _TraceCompiler(ir, 32, grid, BLOCK3, bpb).compile()
+    pair = ("(0 <= 1 * _sy2 + 0) and "
+            "(1 * _sy2 + 524280 <= 18446744073709551615) and ")
+    assert src.count(pair) == 1
+    clean = validate_program(ir, src, 32, grid, BLOCK3, bpb)
+    assert clean.validated and clean.exact
+    v = validate_program(ir, src.replace(pair, ""), 32, grid, BLOCK3, bpb)
+    assert not v.validated
+    assert {d.code for d in v.diagnostics} == {"TC01"}
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_dot_tree_load_gate_needs_every_pair(k):
+    """stream_dot's tree-loop shared load ``tile[tid + s]`` is guarded
+    for its i64 sum, its u64 cast and its u64 byte offset: dropping any
+    one pair fires TC01."""
+    ir, src, bpb = _dot_source()
+    pair = r"\(-?\d+ <= \d+ \* _sy\d+ \+ -?\d+\) and \(\d+ \* _sy\d+ \+ \d+ <= \d+\) and "
+    gate = next(l for l in src.split("\n")
+                if len(re.findall(pair, l)) == 3)
+    pairs = re.findall(pair, gate)
+    mutated = src.replace(gate, gate.replace(pairs[k], "", 1))
+    v, codes = _codes(ir, mutated, bpb)
+    assert not v.validated
+    assert codes == {"TC01"}
+
+
 def test_block_prefix_against_an_immediate_validates():
     """``if tid < 100`` gates a per-block prefix whose bound the program
     spells ``int(np.int64(100))``: a constant, not an unbound symbol."""

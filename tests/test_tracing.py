@@ -37,10 +37,11 @@ def _fresh_trace_cache():
     clear_trace_cache()
 
 
-def _setup(name, n, rng):
-    """Return (kernel_ir, grid, block, args, initial_memory_image)."""
+def _setup(name, n, rng, grid=None):
+    """Return (kernel_ir, grid, block, args, initial_memory_image); the
+    grid defaults to one thread per element."""
     mem = np.zeros(n * 8 * 3 + (1 << 16), dtype=np.uint8)
-    grid = (n + BLOCK - 1) // BLOCK
+    grid = grid or (n + BLOCK - 1) // BLOCK
     if name in ("reduce_sum", "reduce_max", "warp_reduce_sum"):
         x = rng.random(n)
         mem[: n * 8] = x.view(np.uint8)
@@ -129,6 +130,116 @@ def test_library_kernel_tiers_bit_identical(name, n, rng):
     else:
         assert delta["traced_launches"] == 1
         assert delta["traced_batches"] == st_t.batches
+
+
+@pytest.mark.parametrize("name", ["stream_dot", "reduce_sum", "reduce_max"])
+def test_grid_stride_loops_run_several_trips_bit_identical(name, rng):
+    """With fewer threads than elements (4 blocks over 3 * 2^12 + 5
+    elements) every lane runs 12 or 13 grid-stride trips, the last one
+    ragged, so iteration-local registers are rewritten over shrinking
+    masks: traced runs still match widths unlimited, 4 and 1."""
+    ir, grid, block, args, image = _setup(name, 3 * 4096 + 5, rng, grid=4)
+    (mem_t, st_t), delta = _trace_delta(
+        lambda: _run(ir, grid, block, args, image, trace=True))
+    for width in (None, 4, 1):
+        mem, st = _run(ir, grid, block, args, image, trace=False,
+                       width=width)
+        np.testing.assert_array_equal(mem_t, mem)
+        assert _counters(st_t) == _counters(st)
+    assert delta["traced_launches"] == 1
+
+
+# -- iteration-local registers ------------------------------------------------
+
+
+def _loop_rule_kernel(case: str):
+    """One varying grid-stride-like loop (0-3 trips per lane) whose
+    register ``r`` sits where ``case`` puts it; see the rule table."""
+    b = IRBuilder(f"rule_{case}")
+    n = b.param("n", dtypes.I64)
+    a = b.param("a", dtypes.F64, pointer=True)
+    bb = b.param("b", dtypes.F64, pointer=True)
+    out = b.param("out", dtypes.F64, pointer=True)
+    t = b.global_id()
+    x = b.load_elem(a, t, dtypes.F64)
+    acc = b.named("acc", dtypes.F64)
+    b.mov(acc, 0.0)
+    left = b.named("left", dtypes.I64)
+    b.mov(left, b.rem(t, 4))
+    r = b.named("r", dtypes.F64)
+    if case in ("next_trip", "after_loop"):
+        b.mov(r, x)
+    with b.while_() as loop:
+        with loop.cond():
+            c = b.gt(left, 0)
+            if case == "next_trip":
+                b.mov(acc, b.add(acc, r))
+            loop.set_cond(c)
+        y = b.load_elem(bb, b.rem(b.add(t, left), n), dtypes.F64)
+        if case == "nested_if":
+            with b.if_(b.lt(y, 0.5)):
+                b.mov(r, b.mul(y, 3.0))
+                b.mov(acc, b.add(acc, r))
+        elif case == "inner_loop":
+            k = b.named("k", dtypes.I64)
+            b.mov(k, left)
+            with b.while_() as inner:
+                with inner.cond():
+                    inner.set_cond(b.gt(k, 1))
+                b.mov(r, b.mul(y, b.cvt(k, dtypes.F64)))
+                b.mov(acc, b.add(acc, r))
+                b.mov(k, b.sub(k, 1))
+        else:
+            b.mov(r, b.mul(y, x))
+            if case == "redefined_in_if":
+                with b.if_(b.lt(y, 0.5)):
+                    b.mov(r, y)
+            b.mov(acc, b.add(acc, r))
+        b.mov(left, b.sub(left, 1))
+    if case == "after_loop":
+        b.mov(acc, b.add(acc, r))
+    b.store_elem(out, t, acc, dtypes.F64)
+    return b.build()
+
+
+#: case -> whether ``r`` is iteration-local (a plain local), or stays a
+#: merge register.  ``redefined_in_if`` is local by its first mention
+#: but stays a merge register: a def inside a nested If must keep the
+#: lanes the If skips.
+_LOOP_RULES = {"top_level": True, "next_trip": False, "nested_if": False,
+               "after_loop": False, "inner_loop": True,
+               "redefined_in_if": False}
+
+
+@pytest.mark.parametrize("case", list(_LOOP_RULES))
+def test_iteration_local_rule_table(case):
+    from repro.analysis.tracesan import _IRInfo, validate_program
+    from repro.isa.tracing import _TraceCompiler
+    from tests.trace_fuzz import FuzzCase
+
+    fz = FuzzCase(f"rule_{case}", _loop_rule_kernel(case), 4 * BLOCK)
+    image = fz.image()
+    (mem_t, st_t), delta = _trace_delta(
+        lambda: _run(fz.ir, fz.grid, fz.block, fz.args, image, trace=True))
+    for width in (1, 4):
+        mem, st = _run(fz.ir, fz.grid, fz.block, fz.args, image,
+                       trace=False, width=width)
+        np.testing.assert_array_equal(mem_t, mem)
+        assert _counters(st_t) == _counters(st)
+    assert delta["traced_launches"] == 1
+
+    grid3, block3 = (fz.grid[0], 1, 1), (BLOCK, 1, 1)
+    comp = _TraceCompiler(fz.ir, 32, grid3, block3, 4)
+    source = comp.compile()
+    info = _IRInfo(fz.ir, 32, grid3, block3)
+    local = _LOOP_RULES[case]
+    assert ("r" in comp.loop_local) is local
+    assert ("r" in comp.merge) is not local
+    assert set(comp.loop_local) == set(info.loop_local)
+    assert comp.merge == info.merge
+    verdict = validate_program(fz.ir, source, 32, grid3, block3, 4)
+    assert verdict.validated and verdict.exact, \
+        [d.render() for d in verdict.diagnostics]
 
 
 # -- randomized straight-line kernels -----------------------------------------
@@ -632,12 +743,10 @@ def test_uniform_address_fast_paths_bit_identical(where):
         [d.render() for d in verdict.diagnostics]
 
 
-def test_traced_dot_launch_peak_stays_bounded(rng):
-    """One warm traced stream_dot launch over 65,536 lanes (grid 256 x
-    block 256) peaks under 12 MB of temporaries: the program releases
-    each lane array after its last use, and the closing atomic resolves
-    its one address instead of 65,536 copies of it."""
-    ir, grid, block, args, image = _setup("stream_dot", 1 << 16, rng)
+def _warm_launch_peak(name, rng):
+    """Bytes of temporaries one warm traced launch of ``name`` over
+    65,536 lanes (grid 256 x block 256) peaks at."""
+    ir, grid, block, args, image = _setup(name, 1 << 16, rng)
     assert grid == (256,)
     ex = KernelExecutor(ir, 32, image.copy(), trace_mode=True)
     _, delta = _trace_delta(lambda: ex.launch(grid, block, args))
@@ -645,10 +754,25 @@ def test_traced_dot_launch_peak_stays_bounded(rng):
     tracemalloc.start()
     try:
         ex.launch(grid, block, args)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 12e6, f"peak {peak / 1e6:.1f} MB"
+
+
+def test_traced_dot_launch_peak_stays_bounded(rng):
+    """A warm traced stream_dot launch peaks under 5 MB of temporaries:
+    the program releases each lane array after its last use, inside the
+    grid-stride loop too, and the closing atomic resolves its one
+    address instead of 65,536 copies of it."""
+    peak = _warm_launch_peak("stream_dot", rng)
+    assert peak < 5e6, f"peak {peak / 1e6:.1f} MB"
+
+
+def test_traced_reduce_launch_peak_stays_bounded(rng):
+    """reduce_sum's grid-stride loop keeps one loaded lane array per
+    trip: a warm launch peaks under 4.5 MB."""
+    peak = _warm_launch_peak("reduce_sum", rng)
+    assert peak < 4.5e6, f"peak {peak / 1e6:.1f} MB"
 
 
 # -- metrics surface ----------------------------------------------------------
