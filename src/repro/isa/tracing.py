@@ -69,6 +69,7 @@ from __future__ import annotations
 
 import hashlib
 import re
+from collections import Counter
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -390,6 +391,9 @@ _RELEASE_RE = re.compile(r"\b(?:r|_[a-z]+)\d+\b")
 #: released inside the loop, and its trip-count bump.
 _LOOP_STATE_RE = re.compile(r"_(?:lv|ln|tr)\d+")
 _TRIP_BUMP_RE = re.compile(r"\s*(_tr\d+) \+= 1")
+
+#: The line that binds a runtime symbol (``_sy3 = int(r2)``).
+_SYM_BIND_RE = re.compile(r"\s*(_sy\d+) = int\(.*\)")
 
 
 def _statements(lines, start: int, end: int, indent: int) -> list:
@@ -719,6 +723,7 @@ class _TraceCompiler:
         self.collecting = False
         self._reset_emission()
         self._emit_all()
+        self._drop_dead_binds()
         self._release_in_loops()
         self._release_dead()
         return "\n".join(self.lines) + "\n"
@@ -830,6 +835,16 @@ class _TraceCompiler:
                     defer.discard(n)
                     changed = True
         self.defer_regs = defer
+
+    def _drop_dead_binds(self) -> None:
+        """Drop each ``_syN = int(...)`` line no other line mentions: a
+        symbol ``_binop_meta`` bound for an operand whose partner had no
+        model.  Every instruction opens with ``_ic +=``, so no block
+        empties."""
+        counts = Counter(_RELEASE_RE.findall("\n".join(self.lines)))
+        self.lines = [text for text in self.lines
+                      if not ((m := _SYM_BIND_RE.fullmatch(text))
+                              and counts[m.group(1)] == 1)]
 
     def _release_dead(self) -> None:
         """After each top-level body statement, rebind to ``None`` every

@@ -501,17 +501,17 @@ def available_models(vendor: Vendor) -> list[str]:
 
 
 def _verify(n: int, reps: int, arrays, dot_value: float) -> bool:
-    """Replay the kernel sequence on the host and compare."""
-    a = np.full(n, INIT_A)
-    b = np.full(n, INIT_B)
-    c = np.full(n, INIT_C)
+    """Replay the kernel sequence on one element per array and compare:
+    the arrays start constant and all kernels but dot are elementwise, so
+    one element has every element's expected bits; dot is ``n * a * b``."""
+    a, b, c = INIT_A, INIT_B, INIT_C
     expected_dot = 0.0
     for _ in range(reps):
-        c[:] = a          # copy
-        b[:] = SCALAR * c  # mul
-        c[:] = a + b       # add
-        a[:] = b + SCALAR * c  # triad
-        expected_dot = float(a @ b)
+        c = a                # copy
+        b = SCALAR * c       # mul
+        c = a + b            # add
+        a = b + SCALAR * c   # triad
+        expected_dot = n * (a * b)
     got_a, got_b, got_c = arrays
     return bool(
         np.allclose(got_a, a) and np.allclose(got_b, b)

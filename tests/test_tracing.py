@@ -9,6 +9,7 @@ generated straight-line kernels through all three execution tiers
 indistinguishable except through the trace totals.
 """
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -20,6 +21,8 @@ from repro.gpu.memory import DeviceMemory
 from repro.isa import IRBuilder, KernelExecutor, dtypes
 from repro.isa.interpreter import snapshot_interpreter_totals
 from repro.isa.tracing import (
+    TraceBailout,
+    _TraceCompiler,
     cached_bailout_reason,
     clear_trace_cache,
     trace_cache_size,
@@ -773,6 +776,47 @@ def test_traced_reduce_launch_peak_stays_bounded(rng):
     trip: a warm launch peaks under 4.5 MB."""
     peak = _warm_launch_peak("reduce_sum", rng)
     assert peak < 4.5e6, f"peak {peak / 1e6:.1f} MB"
+
+
+def _canonical_programs():
+    """``name -> source`` of every library and fuzz-corpus program at
+    the geometry ``lint --traces`` and the fuzz suites validate at."""
+    from repro.analysis.perfstat import STATIC_LAUNCHES
+
+    launches = {}
+    for name, spec in KERNEL_LIBRARY.items():
+        grid, block = STATIC_LAUNCHES[name][:2]
+        launches[name] = (spec.ir, grid, block)
+    for case in TRACEABLE_CASES:
+        launches[case.name] = (case.ir, case.grid, case.block)
+    out = {}
+    for name, (ir, grid, block) in launches.items():
+        grid3 = tuple(grid) + (1,) * (3 - len(grid))
+        block3 = tuple(block) + (1,) * (3 - len(block))
+        try:
+            out[name] = _TraceCompiler(
+                ir, 32, grid3, block3,
+                canonical_batch_width(ir, block3)).compile()
+        except TraceBailout:
+            continue
+    return out
+
+
+def test_programs_read_every_symbol_they_bind():
+    """A ``_syN = int(...)`` bind whose model was dropped is removed,
+    so no trip of stream_dot's grid-stride loop converts a register
+    nothing reads."""
+    programs = _canonical_programs()
+    assert "stream_dot" in programs and len(programs) > 40
+    unread = {}
+    for name, source in programs.items():
+        # A release (``a = b = None``) is not a read.
+        reads = "\n".join(line for line in source.splitlines()
+                          if not line.endswith(" = None"))
+        for sym in re.findall(r"^\s*(_sy\d+) = int\(", source, re.M):
+            if len(re.findall(rf"\b{sym}\b", reads)) == 1:
+                unread.setdefault(name, []).append(sym)
+    assert not unread, unread
 
 
 # -- metrics surface ----------------------------------------------------------

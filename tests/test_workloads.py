@@ -1,8 +1,15 @@
 """Workloads: BabelStream harness and mini-applications."""
 
+import os
+import pathlib
+import subprocess
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import repro
 from repro.enums import Vendor
 from repro.errors import ApiError
 from repro.models.cuda import Cuda
@@ -69,6 +76,87 @@ def test_host_verification_logic():
     assert _verify(n, reps, (a, b, c), dot)
     assert not _verify(n, reps, (a + 1e-3, b, c), dot)
     assert not _verify(n, reps, (a, b, c), dot + 1.0)
+
+
+def _full_replay(n, reps):
+    """The host reference as n-element arrays and a BLAS dot."""
+    a = np.full(n, 0.1)
+    b = np.full(n, 0.2)
+    c = np.full(n, 0.0)
+    dot = 0.0
+    for _ in range(reps):
+        c[:] = a
+        b[:] = 0.4 * c
+        c[:] = a + b
+        a[:] = b + 0.4 * c
+        dot = float(a @ b)
+    return a, b, c, dot
+
+
+@pytest.mark.parametrize("reps", [0, 1, 3])
+@pytest.mark.parametrize("n", [1, 64, 10_001, 1 << 16])
+def test_verify_verdicts_match_a_full_replay(n, reps):
+    """The one-element replay passes and fails exactly what comparing
+    against the full n-element replay does."""
+    a, b, c, dot = _full_replay(n, reps)
+    off_c = c.copy()
+    off_c[n // 2] += 1e-3
+    cases = [((a, b, c), dot, True), ((a, b, off_c), dot, False),
+             ((a, b, c), dot + 1.0, False)]
+    if reps:
+        cases.append(((a, b, c), dot * (1 + 2e-5), False))
+    for arrays, got_dot, want in cases:
+        full = (all(map(np.allclose, arrays, (a, b, c)))
+                and np.isclose(got_dot, dot))
+        assert _verify(n, reps, arrays, got_dot) is want
+        assert bool(full) is want
+
+
+def test_verify_costs_reps_not_n():
+    """At n = 2^40 (8 TiB per array) one-element arrays holding the
+    replayed values verify, and nothing n-sized is allocated."""
+    n, reps = 1 << 40, 3
+    a, b, c, dot = _full_replay(1, reps)
+    tracemalloc.start()
+    try:
+        ok = _verify(n, reps, (a, b, c), n * dot)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ok
+    assert peak < 1 << 16, peak
+
+
+_OTHER_THREADS_CPU = """
+import resource, time
+from repro.enums import Vendor
+from repro.gpu.runtime import get_device
+from repro.workloads import run_babelstream
+
+def other_threads():
+    ru = resource.getrusage(resource.RUSAGE_SELF)
+    return ru.ru_utime + ru.ru_stime - time.thread_time()
+
+device = get_device(Vendor.NVIDIA)
+run_babelstream(device, "CUDA", n=1 << 16, reps=3)
+time.sleep(0.1)
+before = other_threads()
+assert run_babelstream(device, "CUDA", n=1 << 16, reps=3).verified
+time.sleep(0.1)
+print(other_threads() - before)
+"""
+
+
+def test_stream_run_burns_no_cpu_on_other_threads():
+    """Verification calls no BLAS: above 10,000 elements a BLAS dot wakes
+    a helper thread that then spins, under the caller's own work."""
+    src = pathlib.Path(repro.__file__).parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", _OTHER_THREADS_CPU], capture_output=True,
+        text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert float(proc.stdout) < 0.02
 
 
 def test_bigger_n_scales_toward_peak(nvidia):
