@@ -93,6 +93,33 @@ def _unparse(node: ast.AST) -> str:
     return ast.unparse(node)
 
 
+def _nodes(root: ast.AST) -> list:
+    """Every node under ``root``, itself included: ``ast.walk``'s set,
+    gathered without its generators (the checker's hot loop)."""
+    out = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        for name in node._fields:
+            value = getattr(node, name, None)
+            if type(value) is list:
+                stack.extend(x for x in value if isinstance(x, ast.AST))
+            elif isinstance(value, ast.AST):
+                stack.append(value)
+    return out
+
+
+def _func_text(func: ast.AST) -> str:
+    """``ast.unparse`` of a callee, without unparsing the common
+    ``name`` and ``name.attr`` shapes."""
+    if type(func) is ast.Name:
+        return func.id
+    if type(func) is ast.Attribute and type(func.value) is ast.Name:
+        return f"{func.value.id}.{func.attr}"
+    return ast.unparse(func)
+
+
 # ---------------------------------------------------------------------------
 # Verdict
 # ---------------------------------------------------------------------------
@@ -154,7 +181,7 @@ _NP_ATTRS = frozenset({
     "floor", "ceil", "rint",
     "equal", "not_equal", "less", "less_equal", "greater", "greater_equal",
     "where", "full", "empty", "ones", "zeros", "asarray",
-    "ascontiguousarray", "copyto", "repeat", "broadcast_to",
+    "ascontiguousarray", "copyto", "repeat", "broadcast_to", "arange",
 } | {_np_name(dt) for dt in SCALAR_TYPES.values()})
 
 _B_ATTRS = frozenset({"lanes", "n_blocks", "first_block", "tid", "ctaid",
@@ -209,7 +236,7 @@ def _check_allowlist(tree: ast.Module, kernel: str) -> list[Diagnostic]:
             or fn.decorator_list):
         bad(fn, "unexpected _trace signature")
 
-    for node in ast.walk(fn):
+    for node in _nodes(fn):
         if isinstance(node, ast.stmt):
             if isinstance(node, ast.FunctionDef) and node is fn:
                 continue
@@ -379,6 +406,7 @@ class _IRInfo:
             uwalk(self.k.body, True)
 
         self.loop_local = self._loop_locals()
+        self.inductions = self._inductions()
         self.merge = {name for name in self.varying
                       if counts.get(name, 0) >= 2 and name in nonfull
                       and name not in self.loop_local}
@@ -431,6 +459,7 @@ class _IRInfo:
                 if d is not None:
                     events.append((d.name, True, home, loops))
         walk(self.k.body, (), None)
+        self.events = events
 
         loop_of: dict[str, int | None] = {}
         for name, is_def, home, loops in events:
@@ -444,6 +473,67 @@ class _IRInfo:
         return {name: loop for name, loop in loop_of.items()
                 if loop is not None and name in self.varying
                 and name not in params}
+
+    def _inductions(self) -> dict[int, tuple]:
+        """Loops whose IR admits the prefix form, re-derived:
+        ``id(While) -> (i, cmp, S, steps)``.
+
+        The loop sits in no other loop; its ``cond_body`` is one ``Cmp``
+        ``i < U`` or ``i <= U`` (``cmp``) whose result nothing else
+        mentions; its body ends in ``i = i + S`` (``steps`` is 1 for a
+        ``BinOp`` into ``i``, 2 for a ``BinOp`` into a register only the
+        closing ``Mov`` mentions), the loop's one def of ``i``; the loop
+        assigns neither ``U`` nor ``S``; ``i``, ``U``, ``S`` and the sum
+        share one integer dtype; and no event after the loop mentions
+        ``i``."""
+        out: dict[int, tuple] = {}
+        events = self.events
+        names = [e[0] for e in events]
+
+        def loops(body, depth):
+            for ins in body:
+                if isinstance(ins, If):
+                    yield from loops(ins.then_body, depth)
+                    yield from loops(ins.else_body, depth)
+                elif isinstance(ins, While):
+                    if depth == 0:
+                        yield ins
+                    yield from loops(ins.cond_body, depth + 1)
+                    yield from loops(ins.body, depth + 1)
+
+        for w in loops(self.k.body, 0):
+            cond, body = w.cond_body, w.body
+            if not (len(cond) == 1 and isinstance(cond[0], Cmp)
+                    and cond[0].op in ("lt", "le")
+                    and cond[0].dst.name == w.cond.name
+                    and isinstance(cond[0].a, Register) and body):
+                continue
+            cmp, i = cond[0], cond[0].a
+            steps = 2 if isinstance(body[-1], Mov) else 1
+            if len(body) < steps:
+                continue
+            add = body[-steps]
+            if not (isinstance(add, BinOp) and add.op == "add"
+                    and isinstance(add.a, Register) and add.a.name == i.name
+                    and body[-1].dst.name == i.name
+                    and (steps == 1 or body[-1].src == add.dst != i)):
+                continue
+            step = add.b
+            inside = [k for k, e in enumerate(events) if id(w) in e[3]]
+            defs = {e[0] for k in inside for e in [events[k]] if e[1]}
+            if (sum(1 for k in inside if events[k][1]
+                    and events[k][0] == i.name) != 1
+                    or any(isinstance(op, Register) and op.name in defs
+                           for op in (cmp.b, step))
+                    or i.name in names[inside[-1] + 1:]
+                    or names.count(cmp.dst.name) != 2
+                    or steps == 2 and names.count(add.dst.name) != 2
+                    or not i.dtype.is_integer
+                    or any(op.dtype.np_dtype != i.dtype.np_dtype
+                           for op in (cmp.b, step, add.dst))):
+                continue
+            out[id(w)] = (i, cmp, step, steps)
+        return out
 
 
 @dataclass
@@ -463,11 +553,13 @@ class _AVal:
     """Abstract value of one IR register at one program point.
 
     With ``aff`` set, ``sym`` names the register the affine's one
-    symbol stands for, ``lo``/``hi`` bound the symbol-free part over
-    every lane, and ``guards`` are the no-wraparound conjuncts each step
-    of the value's chain needs: ``("ge", dmin, sc, lo)`` spells
-    ``dmin <= sc * sym + lo`` and ``("le", dmax, sc, hi)`` spells
-    ``sc * sym + hi <= dmax``.
+    symbol stands for (in an induction loop's trip, a pointer and the
+    trip's offset may sum into one symbol), ``lo``/``hi`` bound the
+    symbol-free part over every lane, and ``guards`` are the
+    no-wraparound conjuncts each step of the value's chain needs:
+    ``("ge", dmin, form, lo)`` spells ``dmin <= <form> + lo`` and
+    ``("le", dmax, form, hi)`` spells ``<form> + hi <= dmax``, where
+    ``form`` is the step's symbolic part, ``((atom, coeff), ...)``.
     """
 
     dtype: object = None
@@ -521,6 +613,11 @@ def _sym_atoms(aff: Affine) -> list[str]:
     return [a for a in aff.atoms if a.startswith("sym:")]
 
 
+def _sym_form(aff: Affine) -> tuple:
+    """The symbolic part of an affine, as sorted ``(atom, coeff)``."""
+    return tuple(sorted((a, aff.coeff(a)) for a in _sym_atoms(aff)))
+
+
 def _bounded(out: _AVal, m: _AVal, dt) -> None:
     """Mirror of the compiler's ``_bounded``: give ``out`` the model
     ``m`` only if the value provably fits ``dt``.  A symbol-free model
@@ -532,9 +629,9 @@ def _bounded(out: _AVal, m: _AVal, dt) -> None:
         if m.lo < dmin or m.hi > dmax or guards:
             return
     else:
-        sc = m.aff.coeff(f"sym:{m.sym}")
+        form = _sym_form(m.aff)
         guards = tuple(dict.fromkeys(
-            guards + (("ge", dmin, sc, m.lo), ("le", dmax, sc, m.hi))))
+            guards + (("ge", dmin, form, m.lo), ("le", dmax, form, m.hi))))
         if len(guards) > 8:
             return
     out.aff, out.sym, out.lo, out.hi, out.guards = (m.aff, m.sym, m.lo,
@@ -543,8 +640,9 @@ def _bounded(out: _AVal, m: _AVal, dt) -> None:
 
 def _binop_model(op: str, a: _AVal, b: _AVal, out: _AVal, dst_dt) -> None:
     """Mirror of the compiler's affine propagation: integer add/sub of
-    models with at most one symbol between them, and mul by exactly one
-    pure constant, each step bounded to ``dst_dt``."""
+    models with at most one symbol between them (two when one carries
+    an induction loop's trip offset, ``sym:@<trips>``), and mul by
+    exactly one pure constant, each step bounded to ``dst_dt``."""
     if dst_dt is None or not dst_dt.is_integer:
         return
     if op == "mul":
@@ -562,13 +660,19 @@ def _binop_model(op: str, a: _AVal, b: _AVal, out: _AVal, dst_dt) -> None:
     if op not in ("add", "sub"):
         return
     ma, mb = _model(a), _model(b)
-    if ma is None or mb is None or ma.sym is not None and mb.sym is not None:
+    if ma is None or mb is None:
         return
+    sym = ma.sym or mb.sym
+    if ma.sym is not None and mb.sym is not None:
+        if not any(atom.startswith("sym:@") for atom in
+                   _sym_atoms(ma.aff) + _sym_atoms(mb.aff)):
+            return
+        sym = f"{ma.sym}{'+' if op == 'add' else '-'}{mb.sym}"
     if op == "add":
         aff, lo, hi = ma.aff + mb.aff, ma.lo + mb.lo, ma.hi + mb.hi
     else:
         aff, lo, hi = ma.aff - mb.aff, ma.lo - mb.hi, ma.hi - mb.lo
-    _bounded(out, _AVal(aff=aff, sym=ma.sym or mb.sym, lo=lo, hi=hi,
+    _bounded(out, _AVal(aff=aff, sym=sym, lo=lo, hi=hi,
                         guards=ma.guards + mb.guards), dst_dt)
 
 
@@ -699,11 +803,12 @@ def _assigned_local(stmt) -> str | None:
     return m and m.group(1)
 
 
-def _register_targets(stmts) -> list[str]:
-    """The register locals (``rN``) bound anywhere in ``stmts``."""
+def _register_targets(nodes) -> list[str]:
+    """The register locals (``rN``) bound by the assignments in
+    ``nodes`` (a statement list's :meth:`_Checker._subtree`)."""
     return list(dict.fromkeys(
-        t for st in stmts for n in ast.walk(st)
-        if isinstance(n, ast.Assign) for t in [_assign_target(n)]
+        t for n in nodes if type(n) is ast.Assign
+        for t in [_assign_target(n)]
         if t and t.startswith("r") and t[1:].isdigit()))
 
 
@@ -712,12 +817,10 @@ def _is_temp(name: str | None, prefix: str) -> bool:
             and name[len(prefix) + 1:].isdigit())
 
 
-def _find_calls(node: ast.AST, callee: str) -> list[ast.Call]:
-    out = []
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Call) and _unparse(sub.func) == callee:
-            out.append(sub)
-    return out
+def _find_calls(nodes, callee: str) -> list[ast.Call]:
+    """The calls of ``callee`` among ``nodes``."""
+    return [n for n in nodes
+            if type(n) is ast.Call and _func_text(n.func) == callee]
 
 
 def _expected_value_callee(ins) -> str | None:
@@ -821,10 +924,11 @@ class _MCtx:
 _VIEW_ROOTS = ("_gv_", "_sv_", "_s2_", "_vw")
 
 
-def _view_store_targets(stmt) -> int:
-    """Subscript stores whose root is a memory view (not a temp)."""
+def _view_store_targets(nodes) -> int:
+    """Subscript stores among ``nodes`` whose root is a memory view
+    (not a temp)."""
     count = 0
-    for node in ast.walk(stmt):
+    for node in nodes:
         targets = []
         if isinstance(node, ast.Assign):
             targets = node.targets
@@ -854,9 +958,22 @@ class _Checker:
         self.param_local: dict[str, str] = {}
         self.local_map: dict[str, str] = {}   # local -> IR register name
         self.fast_gate_ifs: list[ast.If] = []
+        self.silent: set[int] = set()   # metered-only induction steps
+        self.index: dict[int, list] = {}
         self.loop_releases: dict[int, set[str]] = {}
         self.shared_cursor = 0
         self.lines = source.split("\n")
+
+    def _subtree(self, stmts) -> list:
+        """Every node under ``stmts``, each statement's list gathered
+        once per program (matchers ask about the same chunks again)."""
+        out = []
+        for st in stmts:
+            got = self.index.get(id(st))
+            if got is None:
+                got = self.index[id(st)] = _nodes(st)
+            out += got
+        return out
 
     def _tokens(self, node) -> list[str]:
         """The identifiers on a node's source lines: a superset of the
@@ -1116,10 +1233,17 @@ class _Checker:
                             f"{path}[{k}] {type(ins).__name__}")
 
     def _match_ins(self, ins, chunk, ctx: _MCtx, path: str) -> None:
-        got_n = _norm(_unparse(chunk[0].value))
+        value = chunk[0].value
+        got_n = (value.id if type(value) is ast.Name
+                 else _norm(_unparse(value)))
         if got_n != ctx.n_text:
             self._tc01(path, f"instruction metering `_ic += {got_n}` does "
                        f"not match context multiplicity `{ctx.n_text}`")
+        if id(ins) in self.silent:
+            if len(chunk) > 1:
+                self._tc01(path, "an induction step of a prefix loop emits "
+                           "code; its value is the trip's offset")
+            return
         payload = []
         fl_seen = False
         for s in chunk[1:]:
@@ -1173,12 +1297,12 @@ class _Checker:
                            "single-static-site claim: assigned at "
                            f"{self.info.sites.get(name, 0)} sites")
         else:
-            if callee is not None and not any(
-                    _find_calls(s, callee) for s in payload):
+            nodes = self._subtree(payload)
+            if callee is not None and not _find_calls(nodes, callee):
                 self._tc01(path, f"payload never applies `{callee}`; the "
                            "generated value cannot match the IR operation")
             self._check_merge_masks(payload, ctx, path)
-            if any(_view_store_targets(s) for s in payload):
+            if _view_store_targets(nodes):
                 self._tc01(path, "value instruction writes to a memory "
                            "view")
             if dst is not None:
@@ -1188,7 +1312,7 @@ class _Checker:
                 # addresses, prefix-gate bounds) resolve non-parameter
                 # registers too.  Value payloads never contain deferral
                 # splices, so every r-local target here belongs to `dst`.
-                for loc in _register_targets(payload):
+                for loc in _register_targets(nodes):
                     self.local_map[loc] = dst.name
                     self._check_assign_form(dst.name, loc, payload, ctx,
                                             path)
@@ -1205,18 +1329,19 @@ class _Checker:
         text = "\n".join(self.lines[stmts[0].lineno - 1:stmts[-1].end_lineno])
         if not merge and test not in text:
             return
-        firsts = [n for st in stmts for n in ast.walk(st)
-                  if isinstance(n, ast.If) and _unparse(n.test) == test]
+        nodes = self._subtree(stmts)
+        firsts = [n for n in nodes if type(n) is ast.If
+                  and type(n.test) is ast.Compare
+                  and type(n.test.left) is ast.Name
+                  and n.test.left.id == loc and _unparse(n.test) == test]
         if not merge:
             if firsts:
                 self._tc01(path, f"`{reg}` needs no merge slot, but its "
                            f"site tests `{test}`")
             return
-        inside = {id(n) for f in firsts for st in f.body
-                  for n in ast.walk(st)}
-        plain = any(isinstance(n, ast.Assign) and _assign_target(n) == loc
-                    and id(n) not in inside
-                    for st in stmts for n in ast.walk(st))
+        inside = {id(n) for f in firsts for n in self._subtree(f.body)}
+        plain = any(type(n) is ast.Assign and _assign_target(n) == loc
+                    and id(n) not in inside for n in nodes)
         if plain or not firsts or not all(f.orelse for f in firsts):
             self._tc01(path, f"merge register `{reg}` is rebound whole at a "
                        "masked site; the interpreter keeps its inactive "
@@ -1224,8 +1349,7 @@ class _Checker:
         for f in firsts:
             whole = _unparse(f.body[-1].value) if isinstance(
                 f.body[-1], ast.Assign) else None
-            for call in (c for st in f.orelse
-                         for c in _find_calls(st, "np.copyto")):
+            for call in _find_calls(self._subtree(f.orelse), "np.copyto"):
                 src = _unparse(call.args[1]) if len(call.args) == 2 else ""
                 if (_unparse(call.args[0]) != loc or whole not in (
                         src, _norm(f"({src}).copy()"))):
@@ -1236,13 +1360,12 @@ class _Checker:
     def _check_merge_masks(self, stmts, ctx: _MCtx, path: str) -> None:
         """Every masked merge (``np.copyto(..., where=m)``) uses the
         active context mask."""
-        for s in stmts:
-            for call in _find_calls(s, "np.copyto"):
-                for kw in call.keywords:
-                    if kw.arg == "where" and not ctx.bind_mask(
-                            _norm(_unparse(kw.value))):
-                        self._tc01(path, "merge writes under a mask that "
-                                   "is not the active context mask")
+        for call in _find_calls(self._subtree(stmts), "np.copyto"):
+            for kw in call.keywords:
+                if kw.arg == "where" and not ctx.bind_mask(
+                        _norm(_unparse(kw.value))):
+                    self._tc01(path, "merge writes under a mask that "
+                               "is not the active context mask")
 
     def _match_barrier(self, payload, ctx: _MCtx, path: str) -> None:
         if len(payload) != 1 or not _is_counter_bump(payload[0], "_ba"):
@@ -1253,7 +1376,7 @@ class _Checker:
                 self._tc01(path, "full-context barrier must charge one "
                            "barrier per block")
         else:
-            calls = _find_calls(rhs, "_barrier")
+            calls = _find_calls(_nodes(rhs), "_barrier")
             if len(calls) != 1 or len(calls[0].args) != 3:
                 self._tc01(path, "masked barrier must go through the "
                            "_barrier runtime check")
@@ -1281,7 +1404,7 @@ class _Checker:
             self._tc01(path, "byte metering does not match context "
                        "multiplicity")
         body = [s for s in payload if s is not bumps[0]]
-        stores = sum(_view_store_targets(s) for s in body)
+        stores = _view_store_targets(self._subtree(body))
         want_stores = 0
         fast_assign, gate = self._fast_gate(body, path)
         if fast_assign is not None and self._addr_uniform(ins):
@@ -1437,7 +1560,7 @@ class _Checker:
 
     def _check_resolve(self, ins, region, ctx: _MCtx, path: str,
                        store: bool) -> None:
-        calls = [c for s in region for c in _find_calls(s, "_resolve")]
+        calls = _find_calls(self._subtree(region), "_resolve")
         if len(calls) != 1 or len(calls[0].args) != 8:
             self._tc01(path, "memory access lacks the single checked "
                        "_resolve generic path")
@@ -1489,7 +1612,7 @@ class _Checker:
             return
         syms_gen = {k: v for k, v in lf.items() if isinstance(k, tuple)}
         syms_mine = {a: my.coeff(a) for a in _sym_atoms(my)}
-        if len(syms_gen) != len(syms_mine) or len(syms_gen) > 1:
+        if len(syms_gen) != len(syms_mine):
             self._tc04(path, "symbolic structure of the base address "
                        "differs from the derived affine; degrading to a "
                        "conservative bound")
@@ -1502,23 +1625,27 @@ class _Checker:
             self._tc01(path, f"fast-path first-block coefficient "
                        f"{lf.get('fb', 0)} differs from the derived "
                        f"{my.coeff('fb')}")
-        if syms_gen:
-            (_, gtext), gc = next(iter(syms_gen.items()))
-            atom, mc = next(iter(syms_mine.items()))
-            if gc != mc:
-                self._tc01(path, f"symbolic coefficient {gc} differs from "
-                           f"the derived {mc}")
-            mine_reg = atom[4:]
-            mapped = self.param_local.get(gtext,
-                                          self.local_map.get(gtext))
-            if mapped is not None:
-                if mapped != mine_reg:
-                    self._tc01(path, f"base address scales register "
-                               f"`{mapped}`, IR semantics scale "
-                               f"`{mine_reg}`")
-            else:
+        for (_, gtext), gc in syms_gen.items():
+            atom = self._sym_atom(gtext)
+            if atom is None:
                 self._tc04(path, "cannot bind the base address symbol to "
                            "an IR register; coefficient-only proof")
+            elif atom not in syms_mine:
+                self._tc01(path, f"base address scales register "
+                           f"`{atom[4:]}`, IR semantics scale "
+                           f"`{', '.join(a[4:] for a in syms_mine)}`")
+            elif gc != syms_mine[atom]:
+                self._tc01(path, f"symbolic coefficient {gc} differs from "
+                           f"the derived {syms_mine[atom]}")
+
+    def _sym_atom(self, text: str) -> str | None:
+        """The affine atom a generated symbol's text stands for: an
+        induction loop's trip offset (``@<trips>``), or the IR register
+        of a local, ``None`` when no local binding is known."""
+        if text.startswith("@"):
+            return "sym:" + text
+        mapped = self.param_local.get(text, self.local_map.get(text))
+        return None if mapped is None else "sym:" + mapped
 
     def _addr_uniform(self, ins) -> bool:
         """Every lane holds the same address (the IR-side uniformity)."""
@@ -1562,45 +1689,79 @@ class _Checker:
             want = [f"0 <= {b}", f"{b} % {isz} == 0",
                     f"{b} + {k} * {isz} <= {self.info.shared_bytes}"]
         test = gate.test
-        got = [_unparse(v) for v in (
-            test.values if isinstance(test, ast.BoolOp)
-            and isinstance(test.op, ast.And) else [test])]
-        head = got[:-len(want)] if base is not None else []
-        if got[len(head):] != want:
+        values = (test.values if isinstance(test, ast.BoolOp)
+                  and isinstance(test.op, ast.And) else [test])
+        head = values[:-len(want)] if base is not None else []
+        if [_unparse(v) for v in values[len(head):]] != want:
             self._tc01(path, f"fast-path guard `{_unparse(test)}` does not "
                        f"{'read' if base is None else 'end'} "
                        f"`{' and '.join(want)}`"
                        "; the unchecked access could fault or alias")
         if base is not None:
-            self._check_wrap_guards(ins, base, head, path)
+            self._check_wrap_guards(ins, head, path)
         idx = ("_j" if ins.space == MemSpace.GLOBAL else "_c") + b[2:]
         if not gate.body or _unparse(gate.body[0]) != f"{idx} = {b} // {isz}":
             self._tc01(path, "fast path does not index its guarded base")
         return idx
 
-    def _check_wrap_guards(self, ins, base, head: list[str],
-                           path: str) -> None:
+    def _check_wrap_guards(self, ins, head: list, path: str) -> None:
         """The guard's leading conjuncts are exactly the pairs the
-        derived address chain needs: ``dmin <= sc * sym + lo`` and
-        ``sc * sym + hi <= dmax`` for every symbolic step, so no lane's
-        address wraps in any step's dtype."""
+        derived address chain needs: ``dmin <= <form> + lo`` and
+        ``<form> + hi <= dmax`` for every symbolic step, so no lane's
+        address wraps in any step's dtype.  Each conjunct is read back
+        into its bound, symbolic part and offset."""
         m = self._read_op(ins.addr)
-        sym = next((n.id for n in ast.walk(base) if isinstance(n, ast.Name)
-                    and _is_temp(n.id, "sy")), None)
-        if m.aff is None or m.guards and sym is None:
+        if m.aff is None:
             return  # _check_base reports the underived structure (TC04)
-        want = [_norm(f"({g[1]} <= {g[2]} * {sym} + {g[3]})" if g[0] == "ge"
-                      else f"({g[2]} * {sym} + {g[3]} <= {g[1]})")
-                for g in m.guards]
-        missing = [w for w in want if w not in head]
-        extra = [h for h in head if h not in want]
+        got = {}
+        for node in head:
+            g = self._guard_of(node)
+            if g == "unbound":
+                return  # _check_base reports the unbound symbol (TC04)
+            got[g] = node
+        want = set(m.guards)
+        missing = [g for g in m.guards if g not in got]
+        extra = [_unparse(node) for g, node in got.items() if g not in want]
         if missing or extra:
+            text = extra[0] if extra else (
+                f"{missing[0][1]} <= {missing[0][2]} + {missing[0][3]}"
+                if missing[0][0] == "ge" else
+                f"{missing[0][2]} + {missing[0][3]} <= {missing[0][1]}")
             self._tc01(path, f"fast-path guard "
-                       f"{'omits' if missing else 'adds'} "
-                       f"`{(missing or extra)[0]}`: each symbolic step of "
+                       f"{'adds' if extra else 'omits'} "
+                       f"`{text}`: each symbolic step of "
                        "the address chain needs exactly its no-wraparound "
                        "pair, or a wrapped lane address escapes the "
                        "checked run")
+
+    def _guard_of(self, node):
+        """``(op, bound, form, offset)`` of one no-wraparound conjunct
+        (``bound <= lin`` or ``lin <= bound``), ``None`` for any other
+        shape and ``"unbound"`` when a symbol names no known register."""
+        if not (isinstance(node, ast.Compare) and len(node.ops) == 1
+                and isinstance(node.ops[0], ast.LtE)):
+            return None
+        left = _linform(node.left, self.sy)
+        right = _linform(node.comparators[0], self.sy)
+        if left is None or right is None:
+            return None
+        if set(left) <= {"1"}:
+            op, bound, lin = "ge", left.get("1", 0), right
+        elif set(right) <= {"1"}:
+            op, bound, lin = "le", right.get("1", 0), left
+        else:
+            return None
+        form = {}
+        for key, coeff in lin.items():
+            if key == "1":
+                continue
+            if key == "fb":
+                return None
+            atom = self._sym_atom(key[1])
+            if atom is None:
+                return "unbound"
+            form[atom] = form.get(atom, 0) + coeff
+        return op, bound, tuple(sorted(form.items())), lin.get("1", 0)
 
     def _check_uniform_load(self, ins, idx: str, arm, ctx: _MCtx,
                             path: str) -> None:
@@ -1615,7 +1776,7 @@ class _Checker:
         if ctx.full:
             mask = None
         else:
-            where = _find_calls(first.value, "np.where")
+            where = _find_calls(_nodes(first.value), "np.where")
             if len(where) != 1 or not where[0].args:
                 self._tc01(path, "masked uniform load does not select "
                            "active lanes")
@@ -1686,13 +1847,13 @@ class _Checker:
                                            ins.src.dtype.itemsize, path)
             region = gate.orelse
         self._check_resolve(ins, region, ctx, path, store=True)
-        calls = [c for s in region for c in _find_calls(s, "_atomic")]
+        calls = _find_calls(self._subtree(region), "_atomic")
         if len(calls) != 1:
             self._tc01(path, "atomic must go through exactly one _atomic "
                        "runtime call")
         self._check_atomic_call(ins, calls[0], ctx, path)
         if fast_assign is not None:
-            fast = [c for s in gate.body for c in _find_calls(s, "_atomic")]
+            fast = _find_calls(self._subtree(gate.body), "_atomic")
             if len(fast) != 1:
                 self._tc01(path, "uniform fast path must apply exactly one "
                            "_atomic runtime call")
@@ -1708,12 +1869,13 @@ class _Checker:
             if _unparse(fast[0].args[3]) != _unparse(calls[0].args[3]):
                 self._tc01(path, "uniform atomic applies other values than "
                            "its generic path")
-        if sum(_view_store_targets(s) for s in payload):
+        nodes = self._subtree(payload)
+        if _view_store_targets(nodes):
             self._tc01(path, "atomic chunk writes to a memory view outside "
                        "the _atomic runtime call")
         d = _dst_of(ins)
         if d is not None:
-            for loc in _register_targets(payload):
+            for loc in _register_targets(nodes):
                 self.local_map[loc] = d.name
                 self._check_assign_form(d.name, loc, payload, ctx, path)
             self.env[d.name] = _AVal(d.dtype,
@@ -1851,7 +2013,11 @@ class _Checker:
         return (_MCtx(False, n_text, [None], k=gname,
                       per_block=kind == "block"), n_text)
 
-    def _check_thr(self, thr, pf: _APrefix, path: str) -> None:
+    def _check_thr(self, thr, pf: _APrefix, path: str,
+                   trip: str | None = None) -> None:
+        """Prove a prefix gate's threshold ``-((base - (U + off)) //
+        cbl)``: ``base`` is the condition affine's, plus exactly the
+        trip offset ``trip`` in an induction loop."""
         node = thr
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
             node = node.operand
@@ -1882,6 +2048,12 @@ class _Checker:
                        f"({b1.get('1', 0)}, {b1.get('fb', 0)}*fb) differs "
                        f"from the condition affine ({pf.d0}, "
                        f"{pf.dfb}*fb)")
+        trips = {k[1]: v for k, v in b1.items() if isinstance(k, tuple)}
+        if trips != ({trip: 1} if trip else {}):
+            self._tc01(path, "prefix threshold base "
+                       + (f"misses the trip offset `{trip}`" if trip
+                          else "carries a symbol the condition lacks")
+                       + f": {trips}")
         off = b2.get("1", 0)
         syms = {k: v for k, v in b2.items() if isinstance(k, tuple)}
         if pf.u[0] == "const":
@@ -1941,9 +2113,39 @@ class _Checker:
                            "not the active context mask")
         return _MCtx(False, gname, [mask_text]), gname
 
+    def _induction(self, ins, ctx: _MCtx):
+        """What makes this loop's prefix form exact, re-derived from the
+        IR and the abstract state at its entry, or ``None``.
+
+        On top of :meth:`_IRInfo._inductions`: the loop starts under
+        the full mask or a lane prefix; ``i`` enters as a lane-prefix
+        affine (the condition would gate a ``lin`` prefix), ``U`` and
+        ``S`` are uniform, ``S`` is a constant ``s``, and over every
+        trip the runaway guard admits neither ``t*s`` nor any lane's
+        ``entry + t*s`` leaves ``i``'s dtype.  Returns ``(i, cmp, S,
+        steps, entry, prefix, s)``."""
+        shape = self.info.inductions.get(id(ins))
+        if shape is None or not (ctx.full or ctx.k is not None
+                                 and not ctx.per_block):
+            return None
+        i, cmp, step, steps = shape
+        iv, sv = self._read_op(i), self._read_op(step)
+        pf = _cmp_prefix(cmp.op, iv, self._read_op(cmp.b), self.info.bt)
+        s = _pure_const(sv) if sv.uniform else None
+        if pf is None or pf.kind != "lin" or s is None:
+            return None
+        dmin, dmax = _int_lo_hi(i.dtype)
+        reach = interpreter._MAX_LOOP_TRIPS * s
+        lo, hi = min(0, reach), max(0, reach)
+        if not (dmin <= lo and hi <= dmax and dmin <= iv.lo + lo
+                and iv.hi + hi <= dmax):
+            return None
+        return i, cmp, step, steps, iv, pf, s
+
     def _match_while(self, ins, payload, ctx: _MCtx, path: str) -> None:
         assigned = (self._assigned_in(ins.cond_body)
                     | self._assigned_in(ins.body))
+        plan = self._induction(ins, ctx)
         self._strip(assigned)
         wnodes = [s for s in payload if isinstance(s, ast.While)]
         if len(wnodes) != 1:
@@ -1988,33 +2190,123 @@ class _Checker:
                        if _is_temp(_assign_target(s), "lv")), None)
             ln = next((_assign_target(s) for s in payload
                        if _is_temp(_assign_target(s), "ln")), None)
-            if lv is None or ln is None:
-                self._tc01(path, "varying loop lacks the live-mask "
-                           "protocol")
-            child = _MCtx(False, ln, [lv])
-            breaks = [k for k, s in enumerate(inner)
-                      if isinstance(s, ast.If)
-                      and any(isinstance(x, ast.Break) for x in s.body)]
-            narrow = next((k for k, s in enumerate(inner)
-                           if isinstance(s, ast.AugAssign)
-                           and isinstance(s.op, ast.BitAnd)
-                           and isinstance(s.target, ast.Name)
-                           and s.target.id == lv), None)
-            if len(breaks) < 2 or narrow is None:
-                self._tc01(path, "varying loop does not re-narrow and "
-                           "re-check its live mask")
-            cond_stmts = inner[breaks[0] + 1:narrow]
-            body_start = breaks[1] + 1
-            recount = inner[narrow + 1:breaks[1]]
-            if not any(_assign_target(s) == ln for s in recount):
-                self._tc01(path, "varying loop never recounts its live "
-                           "mask")
-            self._match_body(ins.cond_body, cond_stmts, child,
-                             path + ".cond")
-            self._match_body(ins.body, inner[body_start:], child,
-                             path + ".body")
+            if lv is None and ln is not None:
+                self._match_prefix_trips(ins, plan, payload, wnode, inner,
+                                         guard.test.left.id, ln, ctx, path)
+            else:
+                self._match_live_mask_trips(ins, inner, lv, ln, path)
         self._check_loop_releases(ins, wnode, path)
         self._strip(assigned)
+
+    def _match_live_mask_trips(self, ins, inner, lv, ln, path: str) -> None:
+        """A varying loop's general form: the live mask ``lv`` narrows by
+        the condition and ``ln`` recounts it, every trip."""
+        if lv is None or ln is None:
+            self._tc01(path, "varying loop lacks the live-mask "
+                       "protocol")
+        child = _MCtx(False, ln, [lv])
+        breaks = [k for k, s in enumerate(inner)
+                  if isinstance(s, ast.If)
+                  and any(isinstance(x, ast.Break) for x in s.body)]
+        narrow = next((k for k, s in enumerate(inner)
+                       if isinstance(s, ast.AugAssign)
+                       and isinstance(s.op, ast.BitAnd)
+                       and isinstance(s.target, ast.Name)
+                       and s.target.id == lv), None)
+        if len(breaks) < 2 or narrow is None:
+            self._tc01(path, "varying loop does not re-narrow and "
+                       "re-check its live mask")
+        cond_stmts = inner[breaks[0] + 1:narrow]
+        body_start = breaks[1] + 1
+        recount = inner[narrow + 1:breaks[1]]
+        if not any(_assign_target(s) == ln for s in recount):
+            self._tc01(path, "varying loop never recounts its live "
+                       "mask")
+        self._match_body(ins.cond_body, cond_stmts, child,
+                         path + ".cond")
+        self._match_body(ins.body, inner[body_start:], child,
+                         path + ".body")
+
+    def _match_prefix_trips(self, ins, plan, payload, wnode, inner, tr: str,
+                            ln: str, ctx: _MCtx, path: str) -> None:
+        """An induction loop's prefix form (see
+        :meth:`repro.isa.tracing._TraceCompiler._emit_prefix_trips`):
+
+        * ``tr = 0`` and ``ln = <entry population>`` before the loop, and
+          ``tr += 1`` once per trip;
+        * each trip: ``if ln == 0: break``, ``_sy = tr * int(S)``, the
+          condition's bare metering bump, ``ln = min(ln, max(thr, 0))``
+          with ``thr`` the condition's lane-prefix threshold whose base
+          adds exactly ``_sy``, ``if ln == 0: break``, then the body in
+          the lane prefix ``[0, ln)`` with ``i = entry + _sy`` and the
+          step's instructions metered only.
+        """
+        if plan is None:
+            self._tc01(path, "loop runs on a live lane prefix, but its IR "
+                       "has no induction register the prefix form is exact "
+                       "for; the general loop keeps a live mask")
+        i, cmp, step, steps, entry, pf, s = plan
+        texts = [_unparse(st) for st in payload
+                 if not isinstance(st, ast.While)]
+        want_n = "_L" if ctx.full else ctx.n_text
+        if (f"{tr} = 0" not in texts or f"{ln} = {want_n}" not in texts
+                or [_unparse(st) for st in wnode.body
+                    if isinstance(st, ast.AugAssign)
+                    and _unparse(st.target) == tr] != [f"{tr} += 1"]):
+            self._tc01(path, "prefix loop does not start its trip count at "
+                       f"0 and its live count at `{want_n}`, or does not "
+                       "count each trip once")
+        stop = f"if {ln} == 0:\n    break"
+        if (len(inner) < 5 or _unparse(inner[0]) != stop
+                or _unparse(inner[4]) != stop):
+            self._tc01(path, "prefix loop does not re-check its live count "
+                       "around the condition")
+        sy = _assign_target(inner[1])
+        val = inner[1].value if _is_temp(sy, "sy") else None
+        if not (isinstance(val, ast.BinOp) and isinstance(val.op, ast.Mult)
+                and _unparse(val.left) == tr
+                and isinstance(val.right, ast.Call)
+                and _unparse(val.right.func) == "int"
+                and len(val.right.args) == 1):
+            self._tc01(path, f"trip offset is not bound as `{tr} * int(S)`")
+        arg = val.right.args[0]
+        if isinstance(arg, ast.Name):
+            bound = self.param_local.get(arg.id, self.local_map.get(arg.id))
+            if bound is None:
+                self._tc04(path, "cannot bind the trip offset's stride to "
+                           "an IR register")
+            elif bound != getattr(step, "name", None):
+                self._tc01(path, f"trip offset scales register `{bound}`, "
+                           f"the IR steps `{i.name}` by `{step}`")
+        elif _linform(arg, self.sy) != {"1": s}:
+            self._tc01(path, f"trip offset scales `{_unparse(arg)}`, the IR "
+                       f"steps `{i.name}` by {s}")
+        trip = "@" + tr
+        self.sy[sy] = trip
+        if not (_is_counter_bump(inner[2], "_ic")
+                and _norm(_unparse(inner[2].value)) == ln):
+            self._tc01(path, "the condition is not metered over the live "
+                       "count alone")
+        narrow = getattr(inner[3], "value", None)
+        if not (_assign_target(inner[3]) == ln
+                and isinstance(narrow, ast.Call)
+                and _unparse(narrow.func) == "min" and len(narrow.args) == 2
+                and _unparse(narrow.args[0]) == ln
+                and isinstance(narrow.args[1], ast.Call)
+                and _unparse(narrow.args[1].func) == "max"
+                and len(narrow.args[1].args) == 2
+                and _unparse(narrow.args[1].args[1]) == "0"):
+            self._tc01(path, f"live count is not narrowed as `{ln} = "
+                       f"min({ln}, max(thr, 0))`")
+        self._check_thr(narrow.args[1].args[0], pf, path, trip=trip)
+        # The static bound in _induction makes i's own no-wraparound
+        # pair always true, so the model carries none.
+        self.env[i.name] = _AVal(
+            i.dtype, False, aff=entry.aff + Affine.of_atom("sym:" + trip),
+            sym=trip, lo=entry.lo, hi=entry.hi)
+        self.silent.update(id(x) for x in ins.body[-steps:])
+        child = _MCtx(False, ln, [_norm(f"np.arange(_L) < {ln}")], k=ln)
+        self._match_body(ins.body, inner[5:], child, path + ".body")
 
     # -- Phase 3: deferral re-proof (TC03) ---------------------------------
 
@@ -2057,7 +2349,7 @@ class _Checker:
             lines = [ln for ln, _, _ in defs[name]]
             first, last = min(lines), max(lines)
             operands = {n.id for _, _, v in defs[name]
-                        for n in ast.walk(v)
+                        for n in _nodes(v)
                         if isinstance(n, ast.Name)
                         and n.id.startswith("r") and n.id[1:].isdigit()}
             for op_name in sorted(operands - {name}):
@@ -2074,7 +2366,7 @@ class _Checker:
         def check_uses(node, defined: set[str]) -> None:
             if deferred.isdisjoint(self._tokens(node)):
                 return
-            for n in ast.walk(node):
+            for n in _nodes(node):
                 if (isinstance(n, ast.Name)
                         and isinstance(n.ctx, ast.Load)
                         and n.id in deferred
@@ -2152,7 +2444,7 @@ class _Checker:
                         names)
                 continue
             if released and not released.isdisjoint(self._tokens(s)):
-                for node in ast.walk(s):
+                for node in _nodes(s):
                     if (isinstance(node, ast.Name) and node.id in released
                             and isinstance(node.ctx, ast.Load)):
                         self._tc01(f"line {node.lineno}",

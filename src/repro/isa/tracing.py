@@ -26,8 +26,9 @@ same dtypes* the interpreter would have made, including:
   with exact per-instruction active-lane counts.
 
 Fast paths (contiguous global slices, per-block shared-row slices,
-prefix masks, and one resolved address where every lane holds the same
-one) are taken only behind compile-time *and* runtime guards that prove
+prefix masks, grid-stride loops whose trips run on a live lane prefix,
+and one resolved address where every lane holds the same one) are
+taken only behind compile-time *and* runtime guards that prove
 the result equals the generic path; otherwise the generated code falls
 through to the interpreter's own functions: ``_resolve``, ``_atomic``,
 ``_barrier``, ``_cdiv`` and ``_crem`` are :mod:`repro.isa.interpreter`'s
@@ -395,6 +396,9 @@ _TRIP_BUMP_RE = re.compile(r"\s*(_tr\d+) \+= 1")
 #: The line that binds a runtime symbol (``_sy3 = int(r2)``).
 _SYM_BIND_RE = re.compile(r"\s*(_sy\d+) = int\(.*\)")
 
+#: A runtime symbol's name (in a line, or in a combined symbol).
+_SY_RE = re.compile(r"\b_sy\d+\b")
+
 
 def _statements(lines, start: int, end: int, indent: int) -> list:
     """``(first, past-last)`` line of each statement that starts at
@@ -498,6 +502,116 @@ def _iteration_locals(body) -> dict[str, While]:
             and direct[name] == {id(loop)}}
 
 
+def _def_count(body, name: str) -> int:
+    """How many instructions in ``body`` (at any depth) assign ``name``."""
+    count = 0
+    for ins in body:
+        d = _dst_of(ins)
+        count += d is not None and d.name == name
+        if isinstance(ins, If):
+            count += (_def_count(ins.then_body, name)
+                      + _def_count(ins.else_body, name))
+        elif isinstance(ins, While):
+            count += (_def_count(ins.cond_body, name)
+                      + _def_count(ins.body, name))
+    return count
+
+
+def _induction_loops(body) -> dict[int, tuple]:
+    """Loops whose IR admits the prefix form: ``id(loop) -> (i, cmp, S,
+    steps)``.
+
+    A qualifying loop sits in no other loop; its ``cond_body`` is one
+    ``Cmp`` ``i < U`` or ``i <= U`` whose result is read only as the
+    loop's condition; its body ends in the step ``i = i + S`` (one
+    ``BinOp``, or a ``BinOp`` into a register only the closing ``Mov``
+    reads), the loop's only def of ``i``; ``U`` and ``S`` are
+    immediates or registers the loop does not assign; all four share
+    one integer dtype; and no instruction after the loop mentions
+    ``i``.  :meth:`_TraceCompiler._induction` adds what only the
+    emission state knows.
+    """
+    shapes: dict[int, tuple] = {}
+
+    def find(block):
+        for ins in block:
+            if isinstance(ins, If):
+                find(ins.then_body)
+                find(ins.else_body)
+            elif isinstance(ins, While):
+                shape = _induction_shape(ins)
+                if shape is not None:
+                    shapes[id(ins)] = (ins, shape)
+
+    find(body)
+    if not shapes:
+        return {}
+    events: list[str] = []
+    ends: dict[int, int] = {}
+
+    def walk(block):
+        for ins in block:
+            if isinstance(ins, If):
+                if isinstance(ins.cond, Register):
+                    events.append(ins.cond.name)
+                walk(ins.then_body)
+                walk(ins.else_body)
+            elif isinstance(ins, While):
+                walk(ins.cond_body)
+                events.append(ins.cond.name)
+                walk(ins.body)
+                ends[id(ins)] = len(events)
+            else:
+                events.extend(op.name for op in vars(ins).values()
+                              if isinstance(op, Register))
+
+    walk(body)
+    out = {}
+    for key, (loop, (i, cmp, step, steps)) in shapes.items():
+        if (events.count(cmp.dst.name) == 2
+                and i.name not in events[ends[key]:]
+                and (steps == 1
+                     or events.count(loop.body[-2].dst.name) == 2)):
+            out[key] = (i, cmp, step, steps)
+    return out
+
+
+def _induction_shape(loop):
+    """``(i, cmp, S, steps)`` when one loop's own instructions have the
+    induction shape (see :func:`_induction_loops`), else ``None``."""
+    cond = loop.cond_body
+    if (len(cond) != 1 or not isinstance(cond[0], Cmp)
+            or cond[0].op not in ("lt", "le")
+            or cond[0].dst.name != loop.cond.name
+            or not isinstance(cond[0].a, Register)):
+        return None
+    cmp = cond[0]
+    i = cmp.a
+    body = loop.body
+    last = body[-1] if body else None
+    if isinstance(last, BinOp) and last.dst.name == i.name:
+        add, steps = last, 1
+    elif (isinstance(last, Mov) and last.dst.name == i.name
+          and isinstance(last.src, Register) and len(body) >= 2
+          and isinstance(body[-2], BinOp)
+          and body[-2].dst.name == last.src.name != i.name):
+        add, steps = body[-2], 2
+    else:
+        return None
+    step = add.b
+    if (add.op != "add" or not isinstance(add.a, Register)
+            or add.a.name != i.name or not i.dtype.is_integer
+            or any(op.dtype.np_dtype != i.dtype.np_dtype
+                   for op in (cmp.b, step, add.dst))
+            or _def_count(body, i.name) != 1):
+        return None
+    assigned = _assigned_names(loop.cond_body) | _assigned_names(body)
+    if any(isinstance(op, Register) and op.name in assigned
+           for op in (cmp.b, step)):
+        return None
+    return i, cmp, step, steps
+
+
 class _TraceCompiler:
     """Compiles one kernel × launch geometry into Python source.
 
@@ -536,6 +650,8 @@ class _TraceCompiler:
         self.merge: set[str] = set()
         self.loop_local: dict[str, While] = {}
         self.loop_frees: dict[str, set[str]] = {}
+        self.inductions: dict[int, tuple] = {}
+        self.trip_syms: set[str] = set()
         self.counts: dict[str, int] = {}
         self.regdt: dict[str, dtypes.DType] = {}
         self.locals_: dict[str, str] = {}
@@ -688,6 +804,7 @@ class _TraceCompiler:
         self.merge = {name for name in self.varying
                       if counts.get(name, 0) >= 2 and name in nonfull
                       and name not in self.loop_local}
+        self.inductions = _induction_loops(self.k.body)
 
         def mwalk(body):
             for ins in body:
@@ -750,6 +867,7 @@ class _TraceCompiler:
         self.deferred = {}
         self.defer_order = {}
         self.loop_frees = {}
+        self.trip_syms = set()
 
     def _compute_deferral(self) -> None:
         """Decide which pure single-site values to emit lazily.
@@ -841,9 +959,10 @@ class _TraceCompiler:
         symbol ``_binop_meta`` bound for an operand whose partner had no
         model.  Every instruction opens with ``_ic +=``, so no block
         empties."""
-        counts = Counter(_RELEASE_RE.findall("\n".join(self.lines)))
+        counts = Counter(_SY_RE.findall("\n".join(self.lines)))
         self.lines = [text for text in self.lines
-                      if not ((m := _SYM_BIND_RE.fullmatch(text))
+                      if not ("= int(" in text
+                              and (m := _SYM_BIND_RE.fullmatch(text))
                               and counts[m.group(1)] == 1)]
 
     def _release_dead(self) -> None:
@@ -1422,9 +1541,88 @@ class _TraceCompiler:
         self.defined = pre_def | (then_def & else_def)
         self._strip(assigned)
 
+    def _induction(self, ins: While, ctx: _Ctx):
+        """The prefix form's plan for one loop, or ``None`` (today's
+        live-mask form).
+
+        On top of :func:`_induction_loops`' IR shape: the loop starts
+        under a full or lane-prefix mask; ``i`` is varying and enters
+        with a lane-contiguous affine (no symbol, no guards, lane
+        stride ``cbl > 0``, block stride ``cbl * block``); ``U`` and
+        ``S`` are uniform and ``S`` is a compile-time constant; and no
+        trip the runaway guard admits takes any lane's ``entry + t*S``
+        or ``t*S`` out of ``i``'s dtype, so the modelled ``i`` never
+        wraps.
+        """
+        shape = self.inductions.get(id(ins))
+        if shape is None or ctx.kind not in ("full", "lin"):
+            return None
+        i, cmp, step, steps = shape
+        if (self._op_uniform(i) or not self._op_uniform(cmp.b)
+                or not self._op_uniform(step)):
+            return None
+        A = self._read(i).aff
+        s = self._pure_const(self._read(step))
+        if (A is None or A.sym is not None or A.guards or A.cbl <= 0
+                or A.crow != A.cbl * self.bt or s is None):
+            return None
+        dmin, dmax = _int_bounds(i.dtype)
+        reach = interpreter._MAX_LOOP_TRIPS * s
+        lo, hi = min(0, reach), max(0, reach)
+        if not (dmin <= lo and hi <= dmax and dmin <= A.lo + lo
+                and A.hi + hi <= dmax):
+            return None
+        return i, cmp, step, steps, A
+
+    def _emit_prefix_trips(self, ins: While, ctx: _Ctx, plan,
+                           t: int) -> set:
+        """One trip of an induction loop on the live prefix ``[0,
+        _ln)``: trip ``_tr`` binds ``_sy = _tr * S``, narrows ``_ln`` to
+        the lanes whose ``entry + _sy`` passes the condition, and runs
+        the body in that lane prefix with ``i`` modelled as ``entry +
+        _sy`` (its local keeps the entry value; nothing after the loop
+        reads it).  The condition and the step are metered, not run.
+        Returns the registers defined after the condition."""
+        i, cmp, step, steps, A = plan
+        sy = f"_sy{self._tmp()}"
+        self.trip_syms.add(sy)
+        self._line(f"_ln{t} = {ctx.n}")
+        self._line("while True:")
+        self.ind += 1
+        self._line(f"if _ln{t} == 0:")
+        self._line("    break")
+        self._line(f"{sy} = _tr{t} * int({self._read(step).expr})")
+        self._line(f"_ic += _ln{t}")
+        u = self._read(cmp.b)
+        off = 1 if cmp.op == "le" else 0
+        base = f"(1 * {sy} + {A.d0} + {A.dfb} * _fb)"
+        thr = f"-(({base} - (int({u.expr}) + {off})) // {A.cbl})"
+        self._line(f"_ln{t} = min(_ln{t}, max({thr}, 0))")
+        self._line(f"if _ln{t} == 0:")
+        self._line("    break")
+        def_after_cond = set(self.defined)
+        # No no-wraparound pair for i itself: _induction proved that no
+        # admitted trip takes any lane's entry + t*S out of i's dtype.
+        self.vals[i.name] = _Val(
+            f"np.add({self._local(i.name)}, np.{_np_name(i.dtype)}({sy}))",
+            i.dtype, False,
+            aff=_Aff(sy, 1, A.d0, A.dfb, A.cbl, A.crow, A.lo, A.hi))
+        lctx = _Ctx("lin", f"_ln{t}", arr=f"(np.arange(_L) < _ln{t})",
+                    k=f"_ln{t}")
+        for body_ins in ins.body[:-steps]:
+            self._emit(body_ins, lctx)
+        for _ in range(steps):
+            self._line(f"_ic += _ln{t}")
+        if self.collecting:
+            # The step still assigns i, as a second site: i's entry
+            # value is never sunk into a fast path's else arm.
+            self.site_count[i.name] = self.site_count.get(i.name, 0) + 1
+        return def_after_cond
+
     def _emit_while(self, ins: While, ctx: _Ctx) -> None:
         assigned = (_assigned_names(ins.cond_body)
                     | _assigned_names(ins.body))
+        plan = self._induction(ins, ctx)
         self._strip(assigned)  # loop-carried values are runtime-only
         t = self._tmp()
         trips = interpreter._MAX_LOOP_TRIPS
@@ -1445,6 +1643,12 @@ class _TraceCompiler:
             self._line("    break")
             def_after_cond = set(self.defined)
             self._emit_body(ins.body, ctx)
+            self._line(f"_tr{t} += 1")
+            self._line(f"if _tr{t} > {trips}:")
+            self._line(f"    {trips_raise}")
+            self.ind -= 1
+        elif plan is not None:
+            def_after_cond = self._emit_prefix_trips(ins, ctx, plan, t)
             self._line(f"_tr{t} += 1")
             self._line(f"if _tr{t} > {trips}:")
             self._line(f"    {trips_raise}")
@@ -1549,10 +1753,17 @@ class _TraceCompiler:
         if B is None:
             return None
         if A.sym is not None and B.sym is not None:
-            return None
-        sym = A.sym or B.sym
-        sa = A.sc if A.sym else 0
-        sb = B.sc if B.sym else 0
+            # Two symbols combine only in an induction loop's trip: the
+            # sum (a pointer plus a trip's offset) becomes one symbol.
+            if not self.trip_syms.intersection(
+                    _SY_RE.findall(f"{A.sym} {B.sym}")):
+                return None
+            sign = "+" if op == "add" else "-"
+            sym, sa, sb = f"({A.sc} * {A.sym} {sign} {B.sc} * {B.sym})", 1, 0
+        else:
+            sym = A.sym or B.sym
+            sa = A.sc if A.sym else 0
+            sb = B.sc if B.sym else 0
         if op == "add":
             aff = _Aff(sym, sa + sb, A.d0 + B.d0, A.dfb + B.dfb,
                        A.cbl + B.cbl, A.crow + B.crow, A.lo + B.lo,

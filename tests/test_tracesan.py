@@ -31,6 +31,7 @@ from repro.analysis.tracesan import (
 )
 from repro.data.trace_divergences import KNOWN_TRACE_DIVERGENCES
 from repro.isa.interpreter import snapshot_interpreter_totals
+from repro.isa import tracing
 from repro.isa.tracing import TraceBailout, _TraceCompiler, clear_trace_cache
 from repro.kernels import KERNEL_LIBRARY
 
@@ -60,8 +61,13 @@ def _triad_source():
 
 
 def _dot_source():
+    """stream_dot with its grid-stride loop in the general live-mask
+    form (the induction rule switched off), the form the release, merge
+    and gate tests below read; the prefix form has its own tests."""
     ir = KERNEL_LIBRARY["stream_dot"].ir
-    src, bpb = _compile(ir, GRID, BLOCK3)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tracing, "_induction_loops", lambda body: {})
+        src, bpb = _compile(ir, GRID, BLOCK3)
     return ir, src, bpb
 
 
@@ -408,6 +414,101 @@ class TestLoopReleases:
         v, codes = _codes(ir, mutated, bpb)
         assert "TC01" in codes and not v.validated
         assert any("its first assignment binds" in d.message
+                   for d in v.diagnostics)
+
+
+# -- grid-stride loops on a live lane prefix ----------------------------------
+
+
+def _prefix_source(name):
+    ir = KERNEL_LIBRARY[name].ir
+    src, bpb = _compile(ir, GRID, BLOCK3)
+    return ir, src, bpb
+
+
+def _tc01_only(ir, src, bpb):
+    v, codes = _codes(ir, src, bpb)
+    assert not v.validated
+    assert codes == {"TC01"}, [d.render() for d in v.diagnostics]
+    return v
+
+
+class TestPrefixTrips:
+    @pytest.mark.parametrize("name", ["stream_dot", "reduce_sum",
+                                      "reduce_max"])
+    def test_grid_stride_loop_runs_on_a_lane_prefix(self, name):
+        """The library's grid-stride loops bind ``_sy = _tr * int(S)``,
+        narrow ``_ln`` with ``min`` and keep no live-mask array; their
+        loads take the contiguous gate, and the proof is exact."""
+        ir, src, bpb = _prefix_source(name)
+        assert re.search(r"_sy\d+ = _tr\d+ \* int\(r\d+\)", src)
+        assert re.search(r"(_ln\d+) = min\(\1, max\(", src)
+        assert "_lv" not in src
+        assert "_span_ok(X, _b" in src and ", _ln" in src
+        v, codes = _codes(ir, src, bpb)
+        assert v.validated and v.exact and not codes
+
+    def test_threshold_without_the_trip_offset_fires_tc01(self):
+        ir, src, bpb = _prefix_source("stream_dot")
+        mutated, count = re.subn(r"max\(-\(\(\(1 \* _sy\d+ \+ ",
+                                 "max(-(((", src)
+        assert count == 1
+        _tc01_only(ir, mutated, bpb)
+
+    def test_live_count_not_narrowed_by_min_fires_tc01(self):
+        """``_ln = max(thr, 0)`` would revive lanes an earlier trip
+        retired when the stride is negative."""
+        ir, src, bpb = _prefix_source("reduce_sum")
+        mutated, count = re.subn(r"(_ln\d+) = min\(\1, (max\(.*, 0\))\)$",
+                                 r"\1 = \2", src, flags=re.M)
+        assert count == 1
+        _tc01_only(ir, mutated, bpb)
+
+    def test_stride_symbol_from_the_wrong_register_fires_tc01(self):
+        ir, src, bpb = _prefix_source("stream_dot")
+        mutated, count = re.subn(r"(_sy\d+ = _tr\d+ \* int\()r\d+\)",
+                                 r"\1r0)", src)
+        assert count == 1
+        v = _tc01_only(ir, mutated, bpb)
+        assert any("trip offset scales register `n`" in d.message
+                   for d in v.diagnostics)
+
+    @pytest.mark.parametrize("k", range(6))
+    def test_load_gate_without_a_wraparound_conjunct_fires_tc01(self, k):
+        """Each of the first load gate's 6 no-wraparound conjuncts (the
+        modelled i's u64 cast, its byte offset, and the pointer plus the
+        offset, each a pair) is needed."""
+        ir, src, bpb = _prefix_source("stream_dot")
+        gate = next(line for line in src.split("\n")
+                    if "_span_ok(X, _b" in line and ", _ln" in line)
+        conjuncts = re.findall(r"\((?:[^()]|\([^()]*\))*<=(?:[^()]|\([^()]*\))*\) and ",
+                               gate)
+        assert len(conjuncts) == 6
+        mutated = src.replace(gate, gate.replace(conjuncts[k], "", 1), 1)
+        _tc01_only(ir, mutated, bpb)
+
+    def test_prefix_form_on_a_loop_reading_i_afterwards_fires_tc01(self):
+        """Forced through a compiler that skips the after-the-loop rule,
+        the prefix form leaves ``i`` at its entry value for the read
+        after the loop; tracesan refuses the loop."""
+        from repro.isa.instructions import While
+        from tests.trace_fuzz import induction_kernel
+
+        ir = induction_kernel("read_after")
+        grid = (4, 1, 1)
+        bpb = canonical_batch_width(ir, BLOCK3)
+        clean = _TraceCompiler(ir, 32, grid, BLOCK3, bpb).compile()
+        assert "_lv" in clean
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tracing, "_induction_loops", lambda body: {
+                id(w): tracing._induction_shape(w) for w in body
+                if isinstance(w, While)})
+            forced = _TraceCompiler(ir, 32, grid, BLOCK3, bpb).compile()
+        assert "_lv" not in forced and "min(_ln" in forced
+        v = validate_program(ir, forced, 32, grid, BLOCK3, bpb)
+        assert not v.validated
+        assert {d.code for d in v.diagnostics} == {"TC01"}
+        assert any("no induction register" in d.message
                    for d in v.diagnostics)
 
 

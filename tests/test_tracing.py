@@ -9,6 +9,7 @@ generated straight-line kernels through all three execution tiers
 indistinguishable except through the trace totals.
 """
 
+import functools
 import re
 import tracemalloc
 
@@ -28,6 +29,13 @@ from repro.isa.tracing import (
     trace_cache_size,
 )
 from repro.kernels import BLOCK, KERNEL_LIBRARY
+
+from tests.trace_fuzz import (
+    BAILING_CASES,
+    INDUCTION_RULES,
+    TRACEABLE_CASES,
+    induction_kernel,
+)
 
 N = 4096
 
@@ -135,21 +143,116 @@ def test_library_kernel_tiers_bit_identical(name, n, rng):
         assert delta["traced_batches"] == st_t.batches
 
 
-@pytest.mark.parametrize("name", ["stream_dot", "reduce_sum", "reduce_max"])
-def test_grid_stride_loops_run_several_trips_bit_identical(name, rng):
-    """With fewer threads than elements (4 blocks over 3 * 2^12 + 5
-    elements) every lane runs 12 or 13 grid-stride trips, the last one
-    ragged, so iteration-local registers are rewritten over shrinking
-    masks: traced runs still match widths unlimited, 4 and 1."""
-    ir, grid, block, args, image = _setup(name, 3 * 4096 + 5, rng, grid=4)
-    (mem_t, st_t), delta = _trace_delta(
-        lambda: _run(ir, grid, block, args, image, trace=True))
-    for width in (None, 4, 1):
+@functools.cache
+def _jit_corpus():
+    """``examples/jit_kernels.py``, loaded once as a module."""
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parent.parent / "examples" / \
+        "jit_kernels.py"
+    spec = importlib.util.spec_from_file_location("jit_corpus_tracing", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def _grid_stride_setup(name, n, rng, grid):
+    """``_setup`` for the library's grid-stride kernels, and for the jit
+    corpus's ``branchy`` (``out[i]`` from ``x[i]``) and ``block_sum``
+    (laid out like ``reduce_sum``)."""
+    if name not in ("branchy", "block_sum"):
+        return _setup(name, n, rng, grid=grid)
+    _, grid, block, args, image = _setup("reduce_sum", n, rng, grid=grid)
+    return getattr(_jit_corpus(), name).ir, grid, block, args, image
+
+
+def _grid_stride_cases():
+    """Kernel x grid x n: no element, one, one short of a trip over every
+    lane, exactly one trip, a partial second trip, and a partial fourth.
+    Grid 4 at ``3 * lanes + 5`` keeps the kernel name as its id."""
+    cases = []
+    for name in ("stream_dot", "reduce_sum", "reduce_max", "branchy",
+                 "block_sum"):
+        for grid in (4, 256):
+            lanes = grid * BLOCK
+            for label, n in (("0", 0), ("1", 1), ("lanes-1", lanes - 1),
+                             ("lanes", lanes), ("lanes+5", lanes + 5),
+                             ("3lanes+5", 3 * lanes + 5)):
+                plain = grid == 4 and label == "3lanes+5" and name in (
+                    "stream_dot", "reduce_sum", "reduce_max")
+                cases.append(pytest.param(
+                    name, grid, n,
+                    id=name if plain else f"{name}-grid{grid}-n={label}"))
+    return cases
+
+
+@pytest.mark.parametrize("name,grid,n", _grid_stride_cases())
+def test_grid_stride_loops_run_several_trips_bit_identical(name, grid, n,
+                                                           rng):
+    """Grid-stride loops run on a live lane prefix whose trips end
+    ragged: traced at the canonical batch width, 4 and 1, every launch
+    matches the interpreter at widths unlimited, 4 and 1, in memory and
+    all 7 counters."""
+    ir, grid, block, args, image = _grid_stride_setup(name, n, rng, grid)
+    mem_i, st_i = _run(ir, grid, block, args, image, trace=False)
+    for width in (4, 1):
         mem, st = _run(ir, grid, block, args, image, trace=False,
                        width=width)
-        np.testing.assert_array_equal(mem_t, mem)
-        assert _counters(st_t) == _counters(st)
-    assert delta["traced_launches"] == 1
+        np.testing.assert_array_equal(mem_i, mem)
+        assert _counters(st_i) == _counters(st)
+    for width in (None, 4, 1):
+        (mem_t, st_t), delta = _trace_delta(
+            lambda: _run(ir, grid, block, args, image, trace=True,
+                         width=width))
+        np.testing.assert_array_equal(mem_t, mem_i)
+        assert _counters(st_t) == _counters(st_i)
+        assert delta["traced_launches"] == 1
+
+
+def _short_input_image(name, n, a_elems, misalign):
+    """A device whose first input holds ``a_elems`` of the ``n``
+    elements, with no allocation after it, and the launch's args; with
+    ``misalign`` the first input's base is 4 bytes off instead."""
+    dm = DeviceMemory(8 * (3 * n + 4096))
+    a = int(dm.alloc(8 * a_elems))
+    gap = dm.alloc(8 * 1024)
+    rest = [int(dm.alloc(8 * n)) for _ in range(2)]
+    dm.free(gap)
+    dm.buffer[:] = np.random.default_rng(7).integers(
+        0, 64, dm.buffer.size, dtype=np.uint8)
+    base = a + 4 if misalign else a
+    if name == "stream_dot":
+        args = [n, base, rest[0], rest[1]]
+    else:
+        args = [n, base, rest[1]]
+    return dm, args
+
+
+@pytest.mark.parametrize("width", [None, 4, 1], ids=["canonical", "w4", "w1"])
+@pytest.mark.parametrize("fault", ["trip0", "trip1", "misaligned"])
+@pytest.mark.parametrize("name", ["stream_dot", "reduce_sum", "reduce_max"])
+def test_grid_stride_faults_match_the_interpreter(name, fault, width):
+    """An input shorter than ``n`` runs past its allocation on trip 0 or
+    on trip 1, and a misaligned input faults on its first load: the
+    prefix loop's contiguous gate fails and its generic path raises the
+    interpreter's exact MemoryFaultError."""
+    ir = KERNEL_LIBRARY[name].ir
+    grid, block = (4,), (BLOCK,)
+    lanes = 4 * BLOCK
+    n, a_elems = {"trip0": (lanes + 5, lanes // 2),
+                  "trip1": (3 * lanes + 5, lanes + 32),
+                  "misaligned": (lanes + 5, lanes + 5)}[fault]
+    texts = []
+    for trace in (True, False):
+        dm, args = _short_input_image(name, n, a_elems, fault == "misaligned")
+        ex = KernelExecutor(ir, 32, dm.buffer, validator=dm.validate,
+                            trace_mode=trace, max_blocks_per_batch=width)
+        with pytest.raises(MemoryFaultError) as exc:
+            ex.launch(grid, block, args)
+        texts.append(str(exc.value))
+    assert texts[0] == texts[1]
+    assert ("misaligned f64" in texts[0]) == (fault == "misaligned")
 
 
 # -- iteration-local registers ------------------------------------------------
@@ -245,6 +348,46 @@ def test_iteration_local_rule_table(case):
         [d.render() for d in verdict.diagnostics]
 
 
+# -- induction loops: prefix form or live-mask form ---------------------------
+
+
+@pytest.mark.parametrize("case", list(INDUCTION_RULES))
+def test_induction_rule_table(case, monkeypatch):
+    """The compiler runs a grid-stride loop on a live lane prefix exactly
+    when tracesan's re-derivation finds an induction register, every
+    program validates exactly, and traced runs match the interpreter."""
+    from repro.analysis import tracesan
+
+    ir = induction_kernel(case)
+    grid, block, n = (4,), (BLOCK,), 3 * 4 * BLOCK + 5
+    image = np.zeros(8 * (n + 4 * BLOCK) + 64, dtype=np.uint8)
+    image[: 8 * n] = np.random.default_rng(11).random(n).view(np.uint8)
+    args = [n, 0, 8 * n]
+    mem_i, st_i = _run(ir, grid, block, args, image, trace=False)
+    for width in (None, 1):
+        (mem_t, st_t), delta = _trace_delta(
+            lambda: _run(ir, grid, block, args, image, trace=True,
+                         width=width))
+        np.testing.assert_array_equal(mem_t, mem_i)
+        assert _counters(st_t) == _counters(st_i)
+        assert delta["traced_launches"] == 1
+
+    grid3, block3 = (4, 1, 1), (BLOCK, 1, 1)
+    bpb = canonical_batch_width(ir, block3)
+    source = _TraceCompiler(ir, 32, grid3, block3, bpb).compile()
+    prefix = re.search(r"_sy\d+ = _tr\d+ \* int\(", source) is not None
+    assert prefix is INDUCTION_RULES[case]
+    seen = []
+    derive = tracesan._Checker._induction
+    monkeypatch.setattr(
+        tracesan._Checker, "_induction",
+        lambda self, ins, ctx: seen.append(derive(self, ins, ctx)) or seen[-1])
+    verdict = tracesan.validate_program(ir, source, 32, grid3, block3, bpb)
+    assert verdict.validated and verdict.exact, \
+        [d.render() for d in verdict.diagnostics]
+    assert [plan is not None for plan in seen] == [prefix]
+
+
 # -- randomized straight-line kernels -----------------------------------------
 
 
@@ -333,7 +476,6 @@ def test_runtime_divergence_stays_traced(rng):
 # the static verdict must agree.
 
 
-from tests.trace_fuzz import BAILING_CASES, TRACEABLE_CASES
 
 
 @pytest.mark.parametrize("case", TRACEABLE_CASES, ids=lambda c: c.name)

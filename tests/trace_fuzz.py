@@ -247,3 +247,60 @@ FUZZ_CORPUS: list[FuzzCase] = _build()
 
 TRACEABLE_CASES = [c for c in FUZZ_CORPUS if not c.expect_bailout]
 BAILING_CASES = [c for c in FUZZ_CORPUS if c.expect_bailout]
+
+
+# -- induction loops: the prefix-form rule table -----------------------------
+
+#: case -> whether the grid-stride loop of :func:`induction_kernel` runs
+#: on a live lane prefix (the induction rule holds) or keeps the general
+#: live-mask form.
+INDUCTION_RULES = {"library": True, "le": True, "read_after": False,
+                   "if_assigned": False, "stride_assigned": False,
+                   "lane_stride": False, "gt": False}
+
+
+def induction_kernel(case: str):
+    """``acc += a[i]`` over a grid-stride loop, ``out[gid] = acc``, with
+    the loop shaped as ``case`` says (see :data:`INDUCTION_RULES`):
+    ``i < n`` (the library form), ``i <= n - 1``, ``i`` read after the
+    loop, ``i`` also assigned in an ``If``, the stride assigned in the
+    loop, a per-lane stride ``lid(0) + 1``, or a count-down ``i > -1``.
+    Launch as ``(n, a, out)`` with ``out`` one element per thread."""
+    b = IRBuilder(f"induction_{case}")
+    n = b.param("n", dtypes.I64)
+    a = b.param("a", dtypes.F64, pointer=True)
+    out = b.param("out", dtypes.F64, pointer=True)
+    t = b.global_id()
+    i = b.named("i", dtypes.I64)
+    b.mov(i, t)
+    stride = b.named("stride", dtypes.I64)
+    if case == "lane_stride":
+        b.mov(stride, b.add(b.cvt(b.special("tid.x"), dtypes.I64), 1))
+    elif case == "gt":
+        b.mov(stride, b.sub(0, b.global_size()))
+    else:
+        b.mov(stride, b.global_size())
+    bound = b.named("bound", dtypes.I64)
+    b.mov(bound, b.sub(n, 1) if case == "le" else n)
+    acc = b.named("acc", dtypes.F64)
+    b.mov(acc, 0.0)
+    with b.while_() as loop:
+        with loop.cond():
+            if case == "le":
+                loop.set_cond(b.le(i, bound))
+            elif case == "gt":
+                loop.set_cond(b.gt(i, -1))
+            else:
+                loop.set_cond(b.lt(i, bound))
+        x = b.load_elem(a, i, dtypes.F64)
+        b.mov(acc, b.add(acc, x))
+        if case == "if_assigned":
+            with b.if_(b.lt(x, 0.25)):
+                b.mov(i, b.add(i, 1))
+        elif case == "stride_assigned":
+            b.mov(stride, b.add(stride, 0))
+        b.mov(i, b.add(i, stride))
+    if case == "read_after":
+        b.mov(acc, b.add(acc, b.cvt(i, dtypes.F64)))
+    b.store_elem(out, t, acc, dtypes.F64)
+    return b.build()
